@@ -41,9 +41,5 @@ class TemplateError(VidspecError, ValueError):
     """Malformed draft tree template."""
 
 
-class TrainingDivergedError(VidspecError, RuntimeError):
-    """Training loss became non-finite."""
-
-
 class LosslessnessError(VidspecError, RuntimeError):
     """Speculative output diverged from vanilla greedy output. Always a bug."""

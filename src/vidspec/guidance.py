@@ -4,6 +4,10 @@ The verifier's prefill attention is reduced to one score per video token: take
 the rows of language (query) items against the columns of video (key) items,
 average over every layer and head, then average over the language rows. Token
 importance downstream keys entirely off these scores.
+
+The layer/head average is accumulated by ``Model.prefill(seq, capture=True)``
+while its forward runs; this module checks that block against the sequence and
+reduces it to scores.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateScoresError, GuidanceError
-from .model import AttentionCapture
 from .sequence import MultimodalSequence, VideoLayout
 
 
@@ -73,22 +76,24 @@ def descending_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(values.shape[0]), -values))
 
 
-def extract_guidance(capture: AttentionCapture, seq: MultimodalSequence) -> GuidanceMatrix:
-    """Average language-row/video-column attention over all layers and heads.
+def extract_guidance(capture: np.ndarray, seq: MultimodalSequence) -> GuidanceMatrix:
+    """Wrap a prefill's guidance block as the guidance matrix of ``seq``.
 
-    The capture must come from a prefill of exactly this (unpruned) sequence.
+    ``capture`` is ``PrefillResult.capture`` from ``prefill(seq, capture=True)``:
+    language-row/video-column attention already averaged over all layers and
+    heads. It must have shape ``(seq.n_language, seq.n_video)``, with at least
+    one language row, and ``seq`` must be the unpruned prompt.
     """
-    if capture.n_positions != len(seq):
+    shape = np.shape(capture)
+    if shape != (seq.n_language, seq.n_video):
         raise GuidanceError(
-            f"capture covers {capture.n_positions} positions, sequence has {len(seq)}"
+            f"capture has shape {shape}, sequence needs {(seq.n_language, seq.n_video)}"
         )
     if seq.n_language == 0:
         raise GuidanceError("guidance is undefined without language query rows")
     if seq.is_pruned:
         raise GuidanceError("guidance is extracted from the unpruned prompt")
-    n_video = seq.n_video
-    block = capture.probs[:, :, n_video:, :n_video]
-    return GuidanceMatrix(block.mean(axis=(0, 1), dtype=np.float64))
+    return GuidanceMatrix(capture)
 
 
 def score_tokens(matrix: GuidanceMatrix) -> GuidanceScores:

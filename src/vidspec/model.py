@@ -165,26 +165,19 @@ class KvCache:
 
 
 @dataclass
-class AttentionCapture:
-    """Post-softmax attention probabilities from one prefill.
+class PrefillResult:
+    """Cache and final-item logits of one prefill.
 
-    ``probs[l, h, i, j]`` is the probability with which prefill item i attends
-    to item j in layer l, head h. Rows are causal: entries at j > i are exactly
-    zero and each row sums to one over its support.
+    ``capture`` is set by ``prefill(seq, capture=True)``: an
+    ``(n_language, n_video)`` float64 array whose entry ``[i, j]`` is the
+    attention probability of language item i on video item j, averaged over
+    every layer and head. It is the guidance block, accumulated while the
+    forward runs; the full attention matrix is never stored.
     """
 
-    probs: np.ndarray  # (n_layers, n_heads, N, N) float32
-
-    @property
-    def n_positions(self) -> int:
-        return self.probs.shape[2]
-
-
-@dataclass
-class PrefillResult:
     cache: KvCache
     logits: np.ndarray  # (vocab,) for the final item
-    capture: AttentionCapture | None = None
+    capture: np.ndarray | None = None
 
 
 def _rms_normalize(x: np.ndarray) -> np.ndarray:
@@ -245,17 +238,14 @@ class Model:
             arr = arr[None, :]
         if arr.ndim != 2 or arr.shape[1] != d:
             raise SequenceError(f"embedding rows must have width {d}, got {arr.shape}")
-        return arr.copy()
+        if not np.all(np.isfinite(arr)):
+            raise SequenceError("embedding rows must be finite")
+        return arr
 
     def embed_sequence(self, seq: MultimodalSequence) -> np.ndarray:
-        d = self.config.d_model
-        if seq.n_video and seq.video_embeds.shape[1] != d:
-            raise SequenceError(
-                f"video embedding width {seq.video_embeds.shape[1]} != d_model {d}"
-            )
         parts = []
         if seq.n_video:
-            parts.append(seq.video_embeds.astype(np.float64))
+            parts.append(self.embed_items(seq.video_embeds))
         if seq.n_language:
             parts.append(self.embed_items(seq.language_tokens))
         return np.concatenate(parts, axis=0)
@@ -268,15 +258,19 @@ class Model:
         items,
         positions,
         block_mask: np.ndarray | None = None,
-        cache_mask: np.ndarray | None = None,
         _capture: tuple[np.ndarray, int] | None = None,
     ) -> np.ndarray:
         """Run a block of items against the cache in one forward pass.
 
-        Every block item sees all live cache slots (restricted by ``cache_mask``
-        when given) plus the block items allowed by ``block_mask`` (causal lower
-        triangle by default; the diagonal must be admitted). The cache is
-        extended by the block; the caller owns any rollback.
+        Every block item sees all live cache slots plus the block items allowed
+        by ``block_mask`` (causal lower triangle by default; the diagonal must
+        be admitted). The cache is extended by the block; the caller owns any
+        rollback.
+
+        ``_capture = (acc, n_video)`` is prefill's guidance accumulator: for
+        every block item at cache slot ``>= n_video`` (a language item) and
+        every layer, its head-summed attention on slots ``[0, n_video)`` is
+        added to row ``slot - n_video`` of ``acc``.
 
         Returns (n, vocab) logits, one row per block item.
         """
@@ -308,20 +302,19 @@ class Model:
         m = L0 + n
         cache.ensure_capacity(m)
 
-        if n == 1 and cache_mask is None:
+        if n == 1:
             allowed = None  # a single item attending everything needs no mask
         else:
             if block_mask is None:
                 block_mask = np.tril(np.ones((n, n), dtype=bool))
             allowed = np.empty((n, m), dtype=bool)
-            if cache_mask is None:
-                allowed[:, :L0] = True
-            else:
-                cache_mask = np.asarray(cache_mask, dtype=bool)
-                if cache_mask.shape != (n, L0):
-                    raise MaskError(f"cache mask must be {(n, L0)}, got {cache_mask.shape}")
-                allowed[:, :L0] = cache_mask
+            allowed[:, :L0] = True
             allowed[:, L0:] = block_mask
+
+        if _capture is not None:
+            acc, n_video = _capture
+            first = max(n_video - L0, 0)  # first block row that is a language item
+            acc_rows = slice(L0 + first - n_video, m - n_video)
 
         cos, sin = rope_angles(positions, c.d_head, c.rope_theta)
         h = emb
@@ -342,9 +335,8 @@ class Model:
             scores -= scores.max(axis=-1, keepdims=True)
             np.exp(scores, out=scores)
             probs = scores / scores.sum(axis=-1, keepdims=True)
-            if _capture is not None:
-                store, row_offset = _capture
-                store[layer, :, row_offset : row_offset + n, :m] = probs
+            if _capture is not None and first < n:
+                acc[acc_rows] += probs[:, first:, :n_video].sum(axis=0)
             ctx = np.matmul(probs, vals.transpose(1, 0, 2))
             h = h + ctx.transpose(1, 0, 2).reshape(n, c.d_model) @ p[pre + "wo"]
             x = _rms_normalize(h) * p[pre + "mlp_norm"]
@@ -357,10 +349,14 @@ class Model:
         return logits
 
     def prefill(self, seq: MultimodalSequence, capture: bool = False) -> PrefillResult:
-        """Build a fresh cache over the whole sequence; optionally record attention.
+        """Build a fresh cache over the whole sequence; optionally capture guidance.
 
         Rotary encoding uses each item's original position, so a pruned
-        sequence keeps the positions it had before pruning.
+        sequence keeps the positions it had before pruning. With ``capture``,
+        the result also carries the ``(n_language, n_video)`` language-to-video
+        attention averaged over layers and heads (see ``PrefillResult``),
+        summed chunk by chunk in float64; logits and cache are the same
+        with ``capture`` on or off.
         """
         n = len(seq)
         if n == 0:
@@ -368,10 +364,7 @@ class Model:
         emb = self.embed_sequence(seq)
         positions = seq.positions
         cache = self.new_cache(capacity=n)
-        store = None
-        if capture:
-            c = self.config
-            store = np.zeros((c.n_layers, c.n_heads, n, n), dtype=np.float32)
+        acc = np.zeros((seq.n_language, seq.n_video)) if capture else None
         logits = None
         for start in range(0, n, _PREFILL_CHUNK):
             end = min(n, start + _PREFILL_CHUNK)
@@ -379,11 +372,11 @@ class Model:
                 cache,
                 emb[start:end],
                 positions[start:end],
-                _capture=None if store is None else (store, start),
+                _capture=None if acc is None else (acc, seq.n_video),
             )
-        return PrefillResult(
-            cache, logits[-1], AttentionCapture(store) if store is not None else None
-        )
+        if acc is not None:
+            acc /= self.config.n_layers * self.config.n_heads
+        return PrefillResult(cache, logits[-1], acc)
 
     def decode_step(self, cache: KvCache, item, position: int) -> np.ndarray:
         """Append one item and return its (vocab,) logits.
@@ -496,10 +489,13 @@ def save_checkpoint(model: Model, path) -> None:
 
 def load_checkpoint(path) -> Model:
     with open(path, "rb") as fh:
-        magic = fh.readline().decode("ascii").strip()
-        if magic != _CKPT_MAGIC:
+        magic = fh.readline().strip()
+        if magic != _CKPT_MAGIC.encode("ascii"):
             raise ConfigError(f"not a checkpoint file (magic {magic!r})")
-        header = json.loads(fh.readline().decode("ascii"))
+        try:
+            header = json.loads(fh.readline())
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise ConfigError(f"checkpoint header is not valid JSON: {exc}") from exc
         data = fh.read()
     config = ModelConfig(**header["config"])
     params: dict[str, np.ndarray] = {}
@@ -509,6 +505,11 @@ def load_checkpoint(path) -> Model:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if start < 0 or start + 4 * count > len(data):
+            raise ConfigError(
+                f"{entry['name']}: tensor data [{start}, {start + 4 * count}) outside "
+                f"the {len(data)} data bytes (truncated file?)"
+            )
         arr = np.frombuffer(data, dtype="<f4", count=count, offset=start)
         params[entry["name"]] = arr.reshape(shape).astype(np.float64)
     return Model(config, params)

@@ -294,18 +294,27 @@ def read_plan(path) -> PruningPlan:
             fields = line.split()
             if len(fields) != 2 or fields[1] not in ("R", "U"):
                 raise PlanError(f"bad plan line: {line!r}")
-            (v_r if fields[1] == "R" else v_u).append(int(fields[0]))
+            try:
+                index = int(fields[0])
+            except ValueError as exc:
+                raise PlanError(f"bad plan line: {line!r}") from exc
+            (v_r if fields[1] == "R" else v_u).append(index)
     try:
         frames, rows, cols = (int(x) for x in header["layout"].split("x"))
-        plan = PruningPlan(
-            layout=VideoLayout(frames, rows, cols),
-            method=header["method"],
-            r=float(header["r"]),
-            lambda_r=None if header["lambda_r"] == "none" else float(header["lambda_r"]),
-            v_r=np.sort(np.array(v_r, dtype=np.int64)),
-            v_u=np.sort(np.array(v_u, dtype=np.int64)),
-            stage1_truncated=bool(int(header.get("stage1_truncated", "0"))),
-        )
+        method = header["method"]
+        r = float(header["r"])
+        lambda_r = None if header["lambda_r"] == "none" else float(header["lambda_r"])
+        truncated = bool(int(header.get("stage1_truncated", "0")))
     except KeyError as exc:
         raise PlanError(f"plan header missing {exc}") from exc
-    return plan
+    except ValueError as exc:
+        raise PlanError(f"bad plan header value: {exc}") from exc
+    return PruningPlan(
+        layout=VideoLayout(frames, rows, cols),
+        method=method,
+        r=r,
+        lambda_r=lambda_r,
+        v_r=np.sort(np.array(v_r, dtype=np.int64)),
+        v_u=np.sort(np.array(v_u, dtype=np.int64)),
+        stage1_truncated=truncated,
+    )

@@ -13,10 +13,6 @@ import numpy as np
 
 from .errors import SequenceError
 
-VIDEO = "video"
-LANGUAGE = "language"
-
-
 @dataclass(frozen=True)
 class VideoLayout:
     """F frames of an H x W token grid, row-major within a frame, frames in time order."""
@@ -127,10 +123,6 @@ class MultimodalSequence:
         return self._positions
 
     @property
-    def modality(self) -> list[str]:
-        return [VIDEO] * self.n_video + [LANGUAGE] * self.n_language
-
-    @property
     def is_pruned(self) -> bool:
         return self.layout is not None and self.n_video < self.layout.total
 
@@ -140,27 +132,3 @@ class MultimodalSequence:
         base = self.layout.total if self.layout is not None else 0
         return base + self.n_language
 
-
-def save_sequence(seq: MultimodalSequence, path) -> None:
-    """Persist a sequence as an .npz archive."""
-    layout = (
-        np.array([seq.layout.frames, seq.layout.rows, seq.layout.cols], dtype=np.int64)
-        if seq.layout is not None
-        else np.array([-1, -1, -1], dtype=np.int64)
-    )
-    np.savez(
-        path,
-        layout=layout,
-        video_embeds=seq.video_embeds,
-        video_indices=seq.video_indices,
-        language_tokens=seq.language_tokens,
-    )
-
-
-def load_sequence(path) -> MultimodalSequence:
-    with np.load(path) as data:
-        raw = data["layout"]
-        layout = None if raw[0] < 0 else VideoLayout(int(raw[0]), int(raw[1]), int(raw[2]))
-        return MultimodalSequence(
-            layout, data["video_embeds"], data["video_indices"], data["language_tokens"]
-        )

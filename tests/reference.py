@@ -1,0 +1,64 @@
+"""Float64 reference forward that keeps every attention probability.
+
+A plain re-implementation of the model's architecture from its parameters
+alone: one unchunked causal pass over the whole sequence, with explicit masks
+and einsums. It stores the full (n_layers, n_heads, N, N) attention, which the
+package never does, so tests can compare the guidance that ``prefill``
+accumulates against the mean of the materialized block.
+"""
+
+import numpy as np
+
+RMS_EPS = 1e-6  # the model's documented RMSNorm epsilon
+
+
+def _rms(x, weight):
+    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS) * weight
+
+
+def _rope(x, positions, theta):
+    d_head = x.shape[-1]
+    inv_freq = theta ** (-np.arange(0, d_head, 2, dtype=np.float64) / d_head)
+    ang = positions[:, None].astype(np.float64) * inv_freq[None, :]
+    cos, sin = np.cos(ang)[:, None, :], np.sin(ang)[:, None, :]
+    x1, x2 = x[..., : d_head // 2], x[..., d_head // 2 :]
+    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+
+
+def reference_forward(model, seq):
+    """Causal forward of ``seq`` in one block.
+
+    Returns ``(logits, probs)``: logits ``(N, vocab)`` for every item and the
+    post-softmax attention ``probs[l, h, i, j]`` of item i on item j.
+    """
+    c, p = model.config, model.params
+    parts = [seq.video_embeds] if seq.n_video else []
+    parts.append(p["embed"][seq.language_tokens])
+    h = np.concatenate(parts, axis=0).astype(np.float64)
+    n = h.shape[0]
+    positions = seq.positions
+    causal = np.tril(np.ones((n, n), dtype=bool))
+    probs = np.zeros((c.n_layers, c.n_heads, n, n))
+    for layer in range(c.n_layers):
+        pre = f"layers.{layer}."
+        x = _rms(h, p[pre + "attn_norm"])
+        q = _rope((x @ p[pre + "wq"]).reshape(n, c.n_heads, c.d_head), positions, c.rope_theta)
+        k = _rope((x @ p[pre + "wk"]).reshape(n, c.n_heads, c.d_head), positions, c.rope_theta)
+        v = (x @ p[pre + "wv"]).reshape(n, c.n_heads, c.d_head)
+        scores = np.einsum("ihd,jhd->hij", q, k) / np.sqrt(c.d_head)
+        scores = np.where(causal, scores, -np.inf)
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs[layer] = weights / weights.sum(axis=-1, keepdims=True)
+        ctx = np.einsum("hij,jhd->ihd", probs[layer], v).reshape(n, c.d_model)
+        h = h + ctx @ p[pre + "wo"]
+        x = _rms(h, p[pre + "mlp_norm"])
+        a = x @ p[pre + "w1"]
+        h = h + (a / (1.0 + np.exp(-a))) @ p[pre + "w2"]
+    return _rms(h, p["final_norm"]) @ p["head"], probs
+
+
+def reference_guidance(model, seq):
+    """Language-row/video-column block of the reference attention, averaged
+    over layers and heads: ``(n_language, n_video)``."""
+    _, probs = reference_forward(model, seq)
+    return probs[:, :, seq.n_video :, : seq.n_video].mean(axis=(0, 1))

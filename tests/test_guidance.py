@@ -16,22 +16,10 @@ from vidspec.guidance import (
     write_profile_csv,
     write_scores_csv,
 )
-from vidspec.model import AttentionCapture, ModelConfig, init_model
+from vidspec.model import ModelConfig, init_model
 from vidspec.sequence import MultimodalSequence, VideoLayout
 
-
-def capture_from_blocks(blocks, n_video, n_total):
-    """Build a synthetic capture whose language-row/video-column block is given
-    per (layer, head); remaining mass goes on the diagonal."""
-    n_layers, n_heads = len(blocks), len(blocks[0])
-    probs = np.zeros((n_layers, n_heads, n_total, n_total), dtype=np.float32)
-    for l in range(n_layers):
-        for h in range(n_heads):
-            block = np.asarray(blocks[l][h], dtype=np.float64)
-            probs[l, h, n_video:, :n_video] = block
-            for i in range(n_total):
-                probs[l, h, i, i] = 1.0 - probs[l, h, i, :].sum()
-    return AttentionCapture(probs)
+from reference import reference_forward
 
 
 def video_seq(layout, n_language, d=8, seed=0):
@@ -41,37 +29,49 @@ def video_seq(layout, n_language, d=8, seed=0):
     )
 
 
+def prefill_guidance(n_layers, n_heads, seq):
+    """Guidance matrix from a real capture prefill, plus the reference attention."""
+    config = ModelConfig(
+        n_layers=n_layers, n_heads=n_heads, d_model=16, vocab_size=64, seed=5
+    )
+    model = init_model(config)
+    g = extract_guidance(model.prefill(seq, capture=True).capture, seq)
+    _, probs = reference_forward(model, seq)
+    return g, probs[:, :, seq.n_video :, : seq.n_video]
+
+
 class TestExtractGuidance:
     def test_single_layer_head_is_raw_submatrix(self):
-        layout = VideoLayout(1, 1, 2)
-        seq = video_seq(layout, 1)
-        block = [[0.25, 0.5]]
-        cap = capture_from_blocks([[block]], n_video=2, n_total=3)
-        g = extract_guidance(cap, seq)
-        np.testing.assert_allclose(g.values, block, atol=1e-7)
+        seq = video_seq(VideoLayout(1, 2, 2), 3, d=16)
+        g, block = prefill_guidance(1, 1, seq)
+        np.testing.assert_allclose(g.values, block[0, 0], rtol=1e-12, atol=0)
 
     def test_two_layer_mean(self):
-        layout = VideoLayout(1, 1, 2)
-        seq = video_seq(layout, 1)
-        cap = capture_from_blocks(
-            [[[[0.2, 0.8]]], [[[0.4, 0.6]]]], n_video=2, n_total=3
+        seq = video_seq(VideoLayout(1, 2, 2), 3, d=16)
+        g, block = prefill_guidance(2, 1, seq)
+        np.testing.assert_allclose(
+            g.values, (block[0, 0] + block[1, 0]) / 2, rtol=1e-12, atol=0
         )
-        g = extract_guidance(cap, seq)
-        np.testing.assert_allclose(g.values, [[0.3, 0.7]], atol=1e-7)
 
     def test_no_language_rows_rejected(self):
         layout = VideoLayout(1, 1, 2)
         seq = MultimodalSequence.full(layout, np.zeros((2, 4)), np.zeros(0, dtype=int))
-        cap = AttentionCapture(np.zeros((1, 1, 2, 2), dtype=np.float32))
         with pytest.raises(GuidanceError):
-            extract_guidance(cap, seq)
+            extract_guidance(np.zeros((0, 2)), seq)
 
     def test_length_mismatch_rejected(self):
-        layout = VideoLayout(1, 1, 2)
-        seq = video_seq(layout, 2)
-        cap = AttentionCapture(np.zeros((1, 1, 3, 3), dtype=np.float32))
+        seq = video_seq(VideoLayout(1, 1, 2), 2)
+        for shape in [(3, 2), (2, 3), (4,), (2, 2, 1)]:
+            with pytest.raises(GuidanceError):
+                extract_guidance(np.zeros(shape), seq)
+
+    def test_pruned_sequence_rejected(self):
+        full = video_seq(VideoLayout(1, 1, 3), 2)
+        pruned = MultimodalSequence(
+            full.layout, full.video_embeds[:2], full.video_indices[:2], full.language_tokens
+        )
         with pytest.raises(GuidanceError):
-            extract_guidance(cap, seq)
+            extract_guidance(np.full((2, 2), 0.1), pruned)
 
     def test_real_prefill_rows_bounded(self):
         config = ModelConfig(n_layers=2, n_heads=2, d_model=32, vocab_size=64, seed=3)

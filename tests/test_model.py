@@ -19,6 +19,8 @@ from vidspec.model import (
 )
 from vidspec.sequence import MultimodalSequence, VideoLayout
 
+from reference import reference_forward, reference_guidance
+
 
 def small_config(**overrides):
     base = dict(
@@ -65,7 +67,7 @@ class TestPrefill:
         seq = MultimodalSequence.language_only(np.array([5]))
         out = model.prefill(seq, capture=True)
         assert out.cache.length == 1
-        assert np.allclose(out.capture.probs[:, :, 0, 0], 1.0)
+        assert out.capture.shape == (1, 0)
 
     def test_full_sequence_shapes(self):
         config = small_config()
@@ -74,20 +76,21 @@ class TestPrefill:
         assert len(seq) == 4 * 4 * 4 + 16 == 80
         out = model.prefill(seq, capture=True)
         assert out.cache.length == 80
-        assert out.capture.probs.shape == (config.n_layers, config.n_heads, 80, 80)
+        assert out.capture.shape == (16, 64)
         assert out.logits.shape == (config.vocab_size,)
 
     def test_capture_rows_are_causal_distributions(self):
+        """The reference attention the capture is checked against has causal
+        rows that are probability distributions, and reproduces the logits."""
         model = init_model(small_config())
         seq = random_prompt(model.config, VideoLayout(2, 3, 3), n_language=7)
-        cap = model.prefill(seq, capture=True).capture
-        n = cap.n_positions
-        probs = cap.probs.astype(np.float64)
-        for i in range(n):
+        logits, probs = reference_forward(model, seq)
+        for i in range(len(seq)):
             rows = probs[:, :, i, : i + 1]
             assert np.all(rows >= 0.0) and np.all(rows <= 1.0)
-            np.testing.assert_allclose(rows.sum(axis=-1), 1.0, atol=1e-5)
+            np.testing.assert_allclose(rows.sum(axis=-1), 1.0, atol=1e-12)
             assert np.all(probs[:, :, i, i + 1 :] == 0.0)
+        np.testing.assert_allclose(logits[-1], model.prefill(seq).logits, rtol=0, atol=1e-12)
 
     def test_pruned_prefill_differs_from_full(self):
         config = small_config()
@@ -129,6 +132,54 @@ class TestPrefill:
         with pytest.raises(SequenceError):
             model.prefill(seq)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_video_row_rejected(self, bad):
+        model = init_model(small_config())
+        seq = random_prompt(model.config)
+        video = seq.video_embeds.copy()
+        video[5, 3] = bad
+        with pytest.raises(SequenceError):
+            model.prefill(MultimodalSequence.full(seq.layout, video, seq.language_tokens))
+
+
+# Prompts longer than one 512-item prefill chunk: the chunk boundary falls
+# inside the video rows, exactly on the first language row, or inside the
+# language rows.
+CHUNKED_PROMPTS = {
+    "boundary_in_video": (VideoLayout(6, 10, 10), 20),
+    "boundary_at_first_language": (VideoLayout(8, 8, 8), 20),
+    "boundary_in_language": (VideoLayout(5, 10, 10), 40),
+}
+
+
+class TestGuidanceCapture:
+    @pytest.mark.parametrize("name", sorted(CHUNKED_PROMPTS))
+    def test_capture_equals_reference_mean(self, name):
+        layout, n_language = CHUNKED_PROMPTS[name]
+        model = init_model(small_config(max_positions=1024))
+        seq = random_prompt(model.config, layout, n_language, seed=1)
+        capture = model.prefill(seq, capture=True).capture
+        assert capture.shape == (n_language, layout.total)
+        assert capture.dtype == np.float64
+        np.testing.assert_allclose(
+            capture, reference_guidance(model, seq), rtol=1e-12, atol=0
+        )
+
+    @pytest.mark.parametrize("name", sorted(CHUNKED_PROMPTS))
+    def test_capture_leaves_logits_and_cache_bitwise(self, name):
+        layout, n_language = CHUNKED_PROMPTS[name]
+        model = init_model(small_config(max_positions=1024))
+        seq = random_prompt(model.config, layout, n_language, seed=2)
+        off = model.prefill(seq)
+        on = model.prefill(seq, capture=True)
+        assert off.capture is None
+        assert np.array_equal(on.logits, off.logits)
+        assert on.cache.length == off.cache.length == len(seq)
+        n = len(seq)
+        assert np.array_equal(on.cache.k[:, :n], off.cache.k[:, :n])
+        assert np.array_equal(on.cache.v[:, :n], off.cache.v[:, :n])
+        assert np.array_equal(on.cache.positions(), off.cache.positions())
+
 
 class TestDecode:
     def test_decode_extends_cache(self):
@@ -138,6 +189,16 @@ class TestDecode:
         n = out.cache.length
         model.decode_step(out.cache, 3, position=seq.original_length)
         assert out.cache.length == n + 1
+
+    def test_non_finite_embedding_rejected(self):
+        model = init_model(small_config())
+        out = model.prefill(random_prompt(model.config))
+        n = out.cache.length
+        row = np.full(model.config.d_model, 0.01)
+        row[7] = np.nan
+        with pytest.raises(SequenceError):
+            model.decode_step(out.cache, row, 80)
+        assert out.cache.length == n
 
     def test_repeated_position_rejected(self):
         model = init_model(small_config())
@@ -325,3 +386,19 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         seq = random_prompt(model.config, seed=13)
         assert np.array_equal(model.prefill(seq).logits, loaded.prefill(seq).logits)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(small_config(n_layers=1)), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-10])
+        with pytest.raises(ConfigError):
+            load_checkpoint(path)
+
+    def test_bad_json_header_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(small_config(n_layers=1)), path)
+        magic, _header, data = path.read_bytes().split(b"\n", 2)
+        path.write_bytes(magic + b"\n" + b'{"config": ' + b"\n" + data)
+        with pytest.raises(ConfigError):
+            load_checkpoint(path)

@@ -332,3 +332,19 @@ class TestPlanSerialization:
         write_plan(plan, path)
         body = [l for l in path.read_text().splitlines() if l and l[0].isdigit()]
         assert body == ["1 R", "3 U"]
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("layout=2x2x4", "layout=2xAx2"), ("r=0.5", "r=abc"), ("\n3 U", "\nx3 U")],
+        ids=["layout", "ratio", "index"],
+    )
+    def test_malformed_value_rejected(self, tmp_path, old, new):
+        layout = VideoLayout(2, 2, 4)
+        plan = PruningPlan(layout, "manual", 0.5, 0.3, np.array([1]), np.array([3]))
+        path = tmp_path / "plan.txt"
+        write_plan(plan, path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        with pytest.raises(PlanError):
+            read_plan(path)
