@@ -10,6 +10,13 @@ Incremental decoding, batched causal continuation and tree-masked forwards all
 share one attention core (`forward_block`), which is why their outputs agree to
 floating-point reduction error and why a rolled-back cache reproduces a fresh
 one bitwise.
+
+The core runs attention over tiles of 64 block rows, all heads at once, with
+the softmax done in place on the tile's scores. A block mask never admits a
+later block item, so no row of a tile ``[a, b)`` attends a column past
+``L0 + b`` (``L0`` live cache slots before the block): those columns are never
+computed, which changes the result only by summation order. No
+``(heads, n, L0 + n)`` score array is ever allocated.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .sequence import MultimodalSequence
 
 _RMS_EPS = 1e-6
 _PREFILL_CHUNK = 512
+_ROW_TILE = 64  # block rows per attention tile
 _CKPT_MAGIC = "VIDSPEC-CKPT 1"
 
 
@@ -149,9 +157,12 @@ class KvCache:
             if np.any(np.diff(idx) <= 0):
                 raise RollbackError("slot subset must be strictly increasing")
         m = idx.size
-        self.k[:, :m] = self.k[:, idx]
-        self.v[:, :m] = self.v[:, idx]
-        self.pos[:m] = self.pos[idx]
+        # idx is strictly increasing from >= 0, so idx[i] >= i and the slots
+        # that stay where they are form a prefix; only the rest is gathered.
+        s = int(np.count_nonzero(idx == np.arange(m)))
+        self.k[:, s:m] = self.k[:, idx[s:]]
+        self.v[:, s:m] = self.v[:, idx[s:]]
+        self.pos[s:m] = self.pos[idx[s:]]
         self.pos[m : self.length] = -1
         self.length = m
 
@@ -267,6 +278,13 @@ class Model:
         be admitted). The cache is extended by the block; the caller owns any
         rollback.
 
+        Attention runs in tiles of ``_ROW_TILE`` block rows. Tile ``[a, b)``
+        scores only the ``L0 + b`` columns its rows can see (``L0`` slots were
+        live before the block): ``block_mask`` is checked to admit no later
+        item, so every column past ``L0 + b`` is hidden from the whole tile
+        and skipping it is exact up to summation order. Scaling, masking and
+        softmax are done in place on the tile's scores.
+
         ``_capture = (acc, n_video)`` is prefill's guidance accumulator: for
         every block item at cache slot ``>= n_video`` (a language item) and
         every layer, its head-summed attention on slots ``[0, n_video)`` is
@@ -303,22 +321,24 @@ class Model:
         cache.ensure_capacity(m)
 
         if n == 1:
-            allowed = None  # a single item attending everything needs no mask
+            # A single item needs no mask, but the tile loop below still
+            # indexes it, so a one-item block raises TypeError in layer 0
+            # (ROADMAP item 0 keeps this until decode is gated per token).
+            blocked = None
+        elif block_mask is None:
+            blocked = np.triu(np.ones((n, n), dtype=bool), k=1)
         else:
-            if block_mask is None:
-                block_mask = np.tril(np.ones((n, n), dtype=bool))
-            allowed = np.empty((n, m), dtype=bool)
-            allowed[:, :L0] = True
-            allowed[:, L0:] = block_mask
+            blocked = ~block_mask
 
+        first = n  # first block row that is a language item; n when not capturing
         if _capture is not None:
             acc, n_video = _capture
-            first = max(n_video - L0, 0)  # first block row that is a language item
-            acc_rows = slice(L0 + first - n_video, m - n_video)
+            first = max(n_video - L0, 0)
 
         cos, sin = rope_angles(positions, c.d_head, c.rope_theta)
         h = emb
         p = self.params
+        ctx = np.empty((c.n_heads, n, c.d_head))
         for layer in range(c.n_layers):
             pre = f"layers.{layer}."
             x = _rms_normalize(h) * p[pre + "attn_norm"]
@@ -327,21 +347,32 @@ class Model:
             v = (x @ p[pre + "wv"]).reshape(n, c.n_heads, c.d_head)
             cache.k[layer, L0:m] = k
             cache.v[layer, L0:m] = v
-            keys = cache.k[layer, :m]
-            vals = cache.v[layer, :m]
-            scores = np.matmul(q.transpose(1, 0, 2), keys.transpose(1, 2, 0))
-            scores *= self._inv_sqrt_dh
-            scores = np.where(allowed[None, :, :], scores, -np.inf)
-            scores -= scores.max(axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            probs = scores / scores.sum(axis=-1, keepdims=True)
-            if _capture is not None and first < n:
-                acc[acc_rows] += probs[:, first:, :n_video].sum(axis=0)
-            ctx = np.matmul(probs, vals.transpose(1, 0, 2))
+            q = q.transpose(1, 0, 2)
+            keys = cache.k[layer, :m].transpose(1, 2, 0)
+            vals = cache.v[layer, :m].transpose(1, 0, 2)
+            for r0 in range(0, n, _ROW_TILE):
+                r1 = min(r0 + _ROW_TILE, n)
+                # columns past L0 + r1 are hidden from every row of the tile
+                scores = np.matmul(q[:, r0:r1], keys[:, :, : L0 + r1])
+                scores *= self._inv_sqrt_dh
+                np.copyto(scores[:, :, L0:], -np.inf, where=blocked[None, r0:r1, :r1])
+                scores -= scores.max(axis=-1, keepdims=True)
+                np.exp(scores, out=scores)
+                scores /= scores.sum(axis=-1, keepdims=True)
+                lang = max(r0, first)
+                if lang < r1:
+                    acc[L0 + lang - n_video : L0 + r1 - n_video] += scores[
+                        :, lang - r0 :, :n_video
+                    ].sum(axis=0)
+                np.matmul(scores, vals[:, : L0 + r1], out=ctx[:, r0:r1])
             h = h + ctx.transpose(1, 0, 2).reshape(n, c.d_model) @ p[pre + "wo"]
             x = _rms_normalize(h) * p[pre + "mlp_norm"]
             a = x @ p[pre + "w1"]
-            h = h + (a / (1.0 + np.exp(-a))) @ p[pre + "w2"]
+            t = np.negative(a)  # SiLU in place: a / (1 + exp(-a))
+            np.exp(t, out=t)
+            t += 1.0
+            np.divide(a, t, out=t)
+            h = h + t @ p[pre + "w2"]
 
         logits = (_rms_normalize(h) * p["final_norm"]) @ p["head"]
         cache.pos[L0:m] = positions
@@ -497,19 +528,23 @@ def load_checkpoint(path) -> Model:
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise ConfigError(f"checkpoint header is not valid JSON: {exc}") from exc
         data = fh.read()
-    config = ModelConfig(**header["config"])
+    try:
+        config = ModelConfig(**header["config"])
+        tensors = [
+            (e["name"], tuple(e["shape"]), e["dtype"], e["offset"]) for e in header["tensors"]
+        ]
+    except (KeyError, TypeError) as exc:  # a missing field or a field of the wrong type
+        raise ConfigError(f"malformed checkpoint header: {exc!r}") from exc
     params: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        if entry["dtype"] != "float32":
-            raise ConfigError(f"unsupported tensor dtype {entry['dtype']}")
-        shape = tuple(entry["shape"])
+    for name, shape, dtype, start in tensors:
+        if dtype != "float32":
+            raise ConfigError(f"unsupported tensor dtype {dtype}")
         count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
         if start < 0 or start + 4 * count > len(data):
             raise ConfigError(
-                f"{entry['name']}: tensor data [{start}, {start + 4 * count}) outside "
+                f"{name}: tensor data [{start}, {start + 4 * count}) outside "
                 f"the {len(data)} data bytes (truncated file?)"
             )
         arr = np.frombuffer(data, dtype="<f4", count=count, offset=start)
-        params[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        params[name] = arr.reshape(shape).astype(np.float64)
     return Model(config, params)

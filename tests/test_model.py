@@ -1,5 +1,8 @@
 """Model core: determinism, cache semantics, incremental/tree equivalence."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from vidspec.errors import (
     SequenceError,
 )
 from vidspec.model import (
+    KvCache,
     Model,
     ModelConfig,
     init_model,
@@ -144,11 +148,13 @@ class TestPrefill:
 
 # Prompts longer than one 512-item prefill chunk: the chunk boundary falls
 # inside the video rows, exactly on the first language row, or inside the
-# language rows.
+# language rows. The last prompt fits one chunk, and the boundary between two
+# 64-row attention tiles (row 320) falls inside its language rows (300..339).
 CHUNKED_PROMPTS = {
     "boundary_in_video": (VideoLayout(6, 10, 10), 20),
     "boundary_at_first_language": (VideoLayout(8, 8, 8), 20),
     "boundary_in_language": (VideoLayout(5, 10, 10), 40),
+    "tile_boundary_in_language": (VideoLayout(3, 10, 10), 40),
 }
 
 
@@ -179,6 +185,56 @@ class TestGuidanceCapture:
         assert np.array_equal(on.cache.k[:, :n], off.cache.k[:, :n])
         assert np.array_equal(on.cache.v[:, :n], off.cache.v[:, :n])
         assert np.array_equal(on.cache.positions(), off.cache.positions())
+
+
+class TestTiledAttention:
+    """Blocks and trees that span several 64-row attention tiles."""
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 130])
+    def test_block_after_cache_matches_reference(self, n):
+        model = init_model(small_config())
+        L0 = 37
+        seq = random_prompt(model.config, VideoLayout(2, 4, 4), n_language=L0 - 32 + n, seed=n)
+        emb, positions = model.embed_sequence(seq), seq.positions
+        cache = model.new_cache()
+        model.forward_block(cache, emb[:L0], positions[:L0])
+        logits = model.forward_block(cache, emb[L0:], positions[L0:])
+        expected, _ = reference_forward(model, seq)
+        # rtol 1e-12 of the logits' scale: entries near zero carry the same
+        # absolute rounding as the large ones
+        scale = np.abs(expected[L0:]).max()
+        np.testing.assert_allclose(logits, expected[L0:], rtol=0, atol=1e-12 * scale)
+
+    def test_tree_spanning_tiles_matches_causal_paths(self):
+        """Two 65-node sibling chains: 130 nodes over three tiles, the second
+        chain starting inside the second tile."""
+        model = init_model(small_config())
+        out = model.prefill(random_prompt(model.config, seed=8))
+        depth = 65
+        chain = np.tril(np.ones((depth, depth), dtype=bool))
+        mask = np.zeros((2 * depth, 2 * depth), dtype=bool)
+        mask[:depth, :depth] = chain
+        mask[depth:, depth:] = chain
+        tokens = np.random.default_rng(3).integers(0, model.config.vocab_size, 2 * depth)
+        positions = 80 + np.concatenate([np.arange(depth), np.arange(depth)])
+        tree_logits = model.forward_tree(out.cache.clone(), tokens, positions, mask)
+        for path in (slice(0, depth), slice(depth, 2 * depth)):
+            ref = model.forward_block(out.cache.clone(), tokens[path], positions[path])
+            np.testing.assert_allclose(tree_logits[path], ref, rtol=1e-9, atol=1e-9)
+
+    def test_prefill_peak_below_one_score_array(self):
+        """A 1-layer, 8-head prefill of 512 items never holds an (8, 512, 512)
+        float64 score array (16 MiB)."""
+        model = init_model(small_config(n_layers=1, n_heads=8, max_positions=1024))
+        seq = random_prompt(model.config, VideoLayout(7, 8, 8), n_language=64)
+        assert len(seq) == 512
+        tracemalloc.start()
+        try:
+            model.prefill(seq)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 512 * 512 * 8
 
 
 class TestDecode:
@@ -353,6 +409,27 @@ class TestRollback:
         denom = np.maximum(np.abs(direct), 1e-9)
         assert np.max(np.abs(rolled - direct) / denom) <= 1e-5
 
+    @pytest.mark.parametrize(
+        "keep",
+        [np.r_[0:8, 9, 11], np.array([1, 2, 5]), np.arange(7)],
+        ids=["prefix_and_path", "no_identity_prefix", "all_identity"],
+    )
+    def test_subset_rollback_equals_plain_gather(self, keep):
+        rng = np.random.default_rng(0)
+        cache = KvCache(2, 3, 4, capacity=16)
+        cache.k[:] = rng.normal(size=cache.k.shape)
+        cache.v[:] = rng.normal(size=cache.v.shape)
+        cache.pos[:12] = 3 * np.arange(12)
+        cache.length = 12
+        k, v, pos = cache.k[:, keep], cache.v[:, keep], cache.pos[keep]
+        cache.rollback(keep)
+        m = keep.size
+        assert cache.length == m
+        assert np.array_equal(cache.k[:, :m], k)
+        assert np.array_equal(cache.v[:, :m], v)
+        assert np.array_equal(cache.pos[:m], pos)
+        assert np.all(cache.pos[m:12] == -1)
+
     def test_keep_beyond_length_rejected(self):
         model = init_model(small_config())
         out = model.prefill(random_prompt(model.config))
@@ -400,5 +477,24 @@ class TestCheckpoint:
         save_checkpoint(init_model(small_config(n_layers=1)), path)
         magic, _header, data = path.read_bytes().split(b"\n", 2)
         path.write_bytes(magic + b"\n" + b'{"config": ' + b"\n" + data)
+        with pytest.raises(ConfigError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda header: {},
+            lambda header: {"config": {"n_layers": 1}, "tensors": header["tensors"]},
+            lambda header: [header],
+            lambda header: {**header, "tensors": [{"name": "embed", "shape": [1], "offset": 0}]},
+        ],
+        ids=["empty", "partial_config", "list", "tensor_without_dtype"],
+    )
+    def test_malformed_header_rejected(self, tmp_path, edit):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(small_config(n_layers=1)), path)
+        magic, header, data = path.read_bytes().split(b"\n", 2)
+        header = json.dumps(edit(json.loads(header))).encode("ascii")
+        path.write_bytes(magic + b"\n" + header + b"\n" + data)
         with pytest.raises(ConfigError):
             load_checkpoint(path)
