@@ -12,13 +12,12 @@ reduces it to scores.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateScoresError, GuidanceError
-from .sequence import MultimodalSequence, VideoLayout
+from .sequence import MultimodalSequence
 
 
 @dataclass(frozen=True)
@@ -40,10 +39,6 @@ class GuidanceMatrix:
     def n_language(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_video(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class GuidanceScores:
@@ -56,9 +51,6 @@ class GuidanceScores:
         if values.ndim != 1:
             raise GuidanceError("scores must be 1-D")
         object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -117,46 +109,3 @@ def cumulative_profile(scores: GuidanceScores) -> CumulativeProfile:
         token_fraction=np.arange(n + 1) / n,
         attention_fraction=np.concatenate([[0.0], cum / total]),
     )
-
-
-def write_scores_csv(scores: GuidanceScores, layout: VideoLayout, path) -> None:
-    if len(scores) != layout.total:
-        raise GuidanceError(f"{len(scores)} scores for a {layout.total}-token layout")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["flat_index", "frame", "row", "col", "score"])
-        for flat, score in enumerate(scores.values):
-            frame, row, col = layout.coords(flat)
-            writer.writerow([flat, frame, row, col, repr(float(score))])
-
-
-def read_scores_csv(path) -> tuple[GuidanceScores, VideoLayout]:
-    rows = []
-    with open(path, newline="") as fh:
-        for record in csv.DictReader(fh):
-            rows.append(
-                (
-                    int(record["flat_index"]),
-                    int(record["frame"]),
-                    int(record["row"]),
-                    int(record["col"]),
-                    float(record["score"]),
-                )
-            )
-    if not rows:
-        raise GuidanceError(f"no score rows in {path}")
-    rows.sort()
-    layout = VideoLayout(
-        max(r[1] for r in rows) + 1, max(r[2] for r in rows) + 1, max(r[3] for r in rows) + 1
-    )
-    if [r[0] for r in rows] != list(range(layout.total)):
-        raise GuidanceError("score rows do not cover the layout contiguously")
-    return GuidanceScores(np.array([r[4] for r in rows])), layout
-
-
-def write_profile_csv(profile: CumulativeProfile, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fraction_tokens", "fraction_attention"])
-        for x, y in zip(profile.token_fraction, profile.attention_fraction):
-            writer.writerow([repr(float(x)), repr(float(y))])

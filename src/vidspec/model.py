@@ -33,7 +33,7 @@ from .errors import (
     RollbackError,
     SequenceError,
 )
-from .sequence import MultimodalSequence
+from .sequence import MultimodalSequence, integer_array
 
 _RMS_EPS = 1e-6
 _PREFILL_CHUNK = 512
@@ -53,14 +53,16 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("n_layers", "n_heads", "d_model", "vocab_size", "max_positions"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
-        if self.rope_theta <= 0:
-            raise ConfigError("rope_theta must be positive")
+        theta = self.rope_theta
+        if not isinstance(theta, (int, float, np.integer, np.floating)) or not theta > 0:
+            raise ConfigError(f"rope_theta must be a positive number, got {theta!r}")
 
     @property
     def d_head(self) -> int:
@@ -114,9 +116,6 @@ class KvCache:
         if self.length == 0:
             return -1
         return int(self.pos[: self.length].max())
-
-    def positions(self) -> np.ndarray:
-        return self.pos[: self.length].copy()
 
     def ensure_capacity(self, needed: int) -> None:
         if needed <= self.capacity:
@@ -294,7 +293,7 @@ class Model:
         """
         emb = self.embed_items(items)
         n = emb.shape[0]
-        positions = np.asarray(positions, dtype=np.int64).reshape(-1)
+        positions = integer_array(positions, PositionError, "positions").reshape(-1)
         if positions.shape[0] != n:
             raise PositionError(f"{n} items but {positions.shape[0]} positions")
         if positions.size and (positions.min() < 0 or positions.max() >= self.config.max_positions):
@@ -453,7 +452,7 @@ class Model:
                     )
                 depths[i] = depths[parent] + 1
             ancestors.append(anc)
-        positions = np.asarray(positions, dtype=np.int64).reshape(-1)
+        positions = integer_array(positions, PositionError, "positions").reshape(-1)
         if positions.shape[0] != n:
             raise PositionError("one position per tree node required")
         base = cache.max_position + 1
@@ -535,11 +534,16 @@ def load_checkpoint(path) -> Model:
         ]
     except (KeyError, TypeError) as exc:  # a missing field or a field of the wrong type
         raise ConfigError(f"malformed checkpoint header: {exc!r}") from exc
+    expected = param_shapes(config)
     params: dict[str, np.ndarray] = {}
     for name, shape, dtype, start in tensors:
         if dtype != "float32":
             raise ConfigError(f"unsupported tensor dtype {dtype}")
-        count = int(np.prod(shape)) if shape else 1
+        if name not in expected or shape != expected[name]:
+            raise ConfigError(f"tensor {name!r} of shape {shape} is not in this config")
+        if not isinstance(start, int):
+            raise ConfigError(f"{name}: offset {start!r} is not an integer")
+        count = int(np.prod(shape))
         if start < 0 or start + 4 * count > len(data):
             raise ConfigError(
                 f"{name}: tensor data [{start}, {start + 4 * count}) outside "

@@ -1,24 +1,26 @@
 """Video-token pruning plans.
 
-The guided method runs two stages: Stage I keeps the smallest set of
-highest-scoring tokens whose cumulative guidance mass reaches a threshold
-fraction lambda_r of the total; Stage II fills the remaining retention budget
-by evenly spaced selection (ranks floor(k*M/K_U)) over the spatially ordered
-leftovers. Baseline pruners (random, window, frame-drop, temporal-similarity,
-plain uniform, attention Top-K) share the same plan type and the same exact
-budget: round_half_away((1 - r) * n_video) retained tokens for every method.
+A plan is its two disjoint sets of retained flat video indices: the guided
+set V_R and the uniform set V_U. The guided method runs two stages: Stage I
+keeps the smallest set of highest-scoring tokens whose cumulative guidance
+mass reaches a threshold fraction lambda_r of the total; Stage II fills the
+remaining retention budget by evenly spaced selection (ranks floor(k*M/K_U))
+over the spatially ordered leftovers. Baseline pruners (random, window,
+frame-drop, temporal-similarity, plain uniform, attention Top-K) share the
+same plan type and the same exact budget: round_half_away((1 - r) * n_video)
+retained tokens for every method.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateScoresError, PlanError
 from .guidance import GuidanceScores, descending_order
-from .sequence import MultimodalSequence, VideoLayout
+from .sequence import MultimodalSequence, VideoLayout, integer_array
 
 logger = logging.getLogger(__name__)
 
@@ -42,16 +44,13 @@ class PruningPlan:
     spatially uniform remainder."""
 
     layout: VideoLayout
-    method: str
-    r: float
-    lambda_r: float | None
     v_r: np.ndarray  # ascending flat indices chosen by the guided stage
     v_u: np.ndarray  # ascending flat indices chosen by the uniform stage
     stage1_truncated: bool = False
 
     def __post_init__(self):
-        v_r = np.asarray(self.v_r, dtype=np.int64)
-        v_u = np.asarray(self.v_u, dtype=np.int64)
+        v_r = integer_array(self.v_r, PlanError, "v_r")
+        v_u = integer_array(self.v_u, PlanError, "v_u")
         for name, arr in (("v_r", v_r), ("v_u", v_u)):
             if arr.ndim != 1:
                 raise PlanError(f"{name} must be 1-D")
@@ -61,8 +60,6 @@ class PruningPlan:
                 raise PlanError(f"{name} must be strictly increasing")
         if np.intersect1d(v_r, v_u).size:
             raise PlanError("guided and uniform sets overlap")
-        if not 0.0 <= self.r <= 1.0:
-            raise PlanError(f"pruning ratio must lie in [0, 1], got {self.r}")
         object.__setattr__(self, "v_r", v_r)
         object.__setattr__(self, "v_u", v_u)
 
@@ -74,16 +71,14 @@ class PruningPlan:
     def n_retained(self) -> int:
         return int(self.v_r.size + self.v_u.size)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.n_retained == self.layout.total
-
 
 def _score_values(scores) -> np.ndarray:
     values = scores.values if isinstance(scores, GuidanceScores) else np.asarray(scores)
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise PlanError("scores must be 1-D")
+    if not np.all(np.isfinite(values)):
+        raise PlanError("scores must be finite")
     if np.any(values < 0):
         raise PlanError("scores must be nonnegative")
     return values
@@ -142,8 +137,7 @@ def plan_two_stage(scores, layout: VideoLayout, r: float, lambda_r: float) -> Pr
     k_total = retention_budget(layout.total, r)
     if float(values.sum()) <= 0.0:
         logger.warning("degenerate all-zero guidance; falling back to uniform pruning")
-        uniform = plan_uniform(layout, r)
-        return replace(uniform, method="two_stage", lambda_r=lambda_r)
+        return plan_uniform(layout, r)
     v_r = stage1_top_p(values, lambda_r)
     truncated = False
     if v_r.size > k_total:
@@ -152,13 +146,13 @@ def plan_two_stage(scores, layout: VideoLayout, r: float, lambda_r: float) -> Pr
         v_r = np.sort(keep)
         truncated = True
     v_u = stage2_uniform(layout, v_r, r)
-    return PruningPlan(layout, "two_stage", r, lambda_r, v_r, v_u, stage1_truncated=truncated)
+    return PruningPlan(layout, v_r, v_u, stage1_truncated=truncated)
 
 
 def plan_uniform(layout: VideoLayout, r: float) -> PruningPlan:
     """Spatially uniform pruning alone (the guided stage disabled)."""
-    v_u = stage2_uniform(layout, np.zeros(0, dtype=np.int64), r)
-    return PruningPlan(layout, "uniform", r, None, np.zeros(0, dtype=np.int64), v_u)
+    v_u = stage2_uniform(layout, [], r)
+    return PruningPlan(layout, [], v_u)
 
 
 def plan_attention_top_k(scores, layout: VideoLayout, r: float) -> PruningPlan:
@@ -169,14 +163,14 @@ def plan_attention_top_k(scores, layout: VideoLayout, r: float) -> PruningPlan:
         raise PlanError(f"{values.shape[0]} scores for a {layout.total}-token layout")
     k_total = retention_budget(layout.total, r)
     v_r = np.sort(descending_order(values)[:k_total])
-    return PruningPlan(layout, "attention_top_k", r, None, v_r, np.zeros(0, dtype=np.int64))
+    return PruningPlan(layout, v_r, [])
 
 
 def plan_random(layout: VideoLayout, r: float, seed: int) -> PruningPlan:
     k_total = retention_budget(layout.total, r)
     rng = np.random.default_rng(seed)
     retained = np.sort(rng.choice(layout.total, size=k_total, replace=False))
-    return PruningPlan(layout, "random", r, None, np.zeros(0, dtype=np.int64), retained)
+    return PruningPlan(layout, [], retained)
 
 
 def plan_window(layout: VideoLayout, r: float, anchor: str) -> PruningPlan:
@@ -191,9 +185,7 @@ def plan_window(layout: VideoLayout, r: float, anchor: str) -> PruningPlan:
     else:
         start = (layout.total - k_total) // 2
     retained = np.arange(start, start + k_total, dtype=np.int64)
-    return PruningPlan(
-        layout, f"window_{anchor}", r, None, np.zeros(0, dtype=np.int64), retained
-    )
+    return PruningPlan(layout, [], retained)
 
 
 def plan_frame_drop(layout: VideoLayout, r: float) -> PruningPlan:
@@ -208,7 +200,7 @@ def plan_frame_drop(layout: VideoLayout, r: float) -> PruningPlan:
         per_frame = np.arange(layout.frame_size, dtype=np.int64)
         retained = (frame_ranks[:, None] * layout.frame_size + per_frame[None, :]).reshape(-1)
         retained = retained[:k_total]
-    return PruningPlan(layout, "frame_drop", r, None, np.zeros(0, dtype=np.int64), retained)
+    return PruningPlan(layout, [], retained)
 
 
 def plan_temporal_similarity(embeddings, layout: VideoLayout, r: float) -> PruningPlan:
@@ -221,10 +213,12 @@ def plan_temporal_similarity(embeddings, layout: VideoLayout, r: float) -> Pruni
     highest-index-first after every candidate is gone.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    if embeddings.shape[0] != layout.total:
+    if embeddings.ndim != 2 or embeddings.shape[0] != layout.total:
         raise PlanError(
-            f"{embeddings.shape[0]} embeddings for a {layout.total}-token layout"
+            f"embeddings of shape {embeddings.shape} for a {layout.total}-token layout"
         )
+    if not np.all(np.isfinite(embeddings)):
+        raise PlanError("embeddings must be finite")
     k_total = retention_budget(layout.total, r)
     n_drop = layout.total - k_total
     grid = embeddings.reshape(layout.frames, layout.frame_size, -1)
@@ -240,81 +234,16 @@ def plan_temporal_similarity(embeddings, layout: VideoLayout, r: float) -> Pruni
         frame0 = np.arange(layout.frame_size - 1, layout.frame_size - 1 - overflow, -1)
         dropped = np.concatenate([drop_order, frame0])
     retained = np.setdiff1d(np.arange(layout.total, dtype=np.int64), dropped)
-    return PruningPlan(
-        layout, "temporal_similarity", r, None, np.zeros(0, dtype=np.int64), retained
-    )
+    return PruningPlan(layout, [], retained)
 
 
 def apply_plan(seq: MultimodalSequence, plan: PruningPlan) -> MultimodalSequence:
     """Drop the video items outside the plan; survivors keep their embeddings
     and original positions, language items are untouched."""
-    if seq.layout is None:
-        raise PlanError("sequence has no video layout")
     if seq.layout != plan.layout:
         raise PlanError(f"plan layout {plan.layout} != sequence layout {seq.layout}")
     if seq.is_pruned:
         raise PlanError("sequence is already pruned; positions no longer cover the layout")
-    keep = np.isin(seq.video_indices, plan.retained)
-    return MultimodalSequence(
-        seq.layout, seq.video_embeds[keep], seq.video_indices[keep], seq.language_tokens
-    )
-
-
-# -- plan text format ---------------------------------------------------------
-
-
-def write_plan(plan: PruningPlan, path) -> None:
-    """Header lines, then one retained index per line, guided ones marked R."""
-    with open(path, "w") as fh:
-        fh.write(f"method={plan.method}\n")
-        fh.write(f"r={plan.r!r}\n")
-        fh.write(f"lambda_r={'none' if plan.lambda_r is None else repr(plan.lambda_r)}\n")
-        fh.write(
-            f"layout={plan.layout.frames}x{plan.layout.rows}x{plan.layout.cols}\n"
-        )
-        fh.write(f"stage1_truncated={int(plan.stage1_truncated)}\n")
-        guided = set(plan.v_r.tolist())
-        for idx in plan.retained:
-            fh.write(f"{int(idx)} {'R' if int(idx) in guided else 'U'}\n")
-
-
-def read_plan(path) -> PruningPlan:
-    header: dict[str, str] = {}
-    v_r: list[int] = []
-    v_u: list[int] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" in line and not line[0].isdigit():
-                key, value = line.split("=", 1)
-                header[key] = value
-                continue
-            fields = line.split()
-            if len(fields) != 2 or fields[1] not in ("R", "U"):
-                raise PlanError(f"bad plan line: {line!r}")
-            try:
-                index = int(fields[0])
-            except ValueError as exc:
-                raise PlanError(f"bad plan line: {line!r}") from exc
-            (v_r if fields[1] == "R" else v_u).append(index)
-    try:
-        frames, rows, cols = (int(x) for x in header["layout"].split("x"))
-        method = header["method"]
-        r = float(header["r"])
-        lambda_r = None if header["lambda_r"] == "none" else float(header["lambda_r"])
-        truncated = bool(int(header.get("stage1_truncated", "0")))
-    except KeyError as exc:
-        raise PlanError(f"plan header missing {exc}") from exc
-    except ValueError as exc:
-        raise PlanError(f"bad plan header value: {exc}") from exc
-    return PruningPlan(
-        layout=VideoLayout(frames, rows, cols),
-        method=method,
-        r=r,
-        lambda_r=lambda_r,
-        v_r=np.sort(np.array(v_r, dtype=np.int64)),
-        v_u=np.sort(np.array(v_u, dtype=np.int64)),
-        stage1_truncated=truncated,
-    )
+    # unpruned, so video item i sits at flat index i
+    keep = plan.retained
+    return MultimodalSequence(seq.layout, seq.video_embeds[keep], keep, seq.language_tokens)

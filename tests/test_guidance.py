@@ -11,10 +11,7 @@ from vidspec.guidance import (
     cumulative_profile,
     descending_order,
     extract_guidance,
-    read_scores_csv,
     score_tokens,
-    write_profile_csv,
-    write_scores_csv,
 )
 from vidspec.model import ModelConfig, init_model
 from vidspec.sequence import MultimodalSequence, VideoLayout
@@ -157,23 +154,3 @@ class TestCumulativeProfile:
             assert np.all(np.diff(profile.attention_fraction) >= -1e-15)
             if n > 1:
                 assert np.all(np.diff(profile.attention_fraction, 2) <= 1e-12)
-
-
-class TestCsv:
-    def test_scores_roundtrip(self, tmp_path):
-        layout = VideoLayout(2, 2, 3)
-        rng = np.random.default_rng(5)
-        scores = GuidanceScores(rng.uniform(size=layout.total))
-        path = tmp_path / "scores.csv"
-        write_scores_csv(scores, layout, path)
-        back, back_layout = read_scores_csv(path)
-        assert back_layout == layout
-        np.testing.assert_array_equal(back.values, scores.values)
-
-    def test_profile_csv_columns(self, tmp_path):
-        profile = cumulative_profile(GuidanceScores(np.array([0.6, 0.4])))
-        path = tmp_path / "profile.csv"
-        write_profile_csv(profile, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "fraction_tokens,fraction_attention"
-        assert len(lines) == 4

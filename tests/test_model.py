@@ -41,6 +41,14 @@ def random_prompt(config, layout=VideoLayout(4, 4, 4), n_language=16, seed=0):
     return MultimodalSequence.full(layout, video, tokens)
 
 
+def text_cache(model, tokens):
+    """A fresh cache holding ``tokens`` at positions 0..n-1, written as one
+    causal block."""
+    cache = model.new_cache()
+    model.forward_block(cache, tokens, np.arange(len(tokens)))
+    return cache
+
+
 class TestInit:
     def test_same_config_same_seed_bitwise_identical(self):
         a = init_model(small_config())
@@ -68,7 +76,8 @@ class TestInit:
 class TestPrefill:
     def test_single_language_token(self):
         model = init_model(small_config())
-        seq = MultimodalSequence.language_only(np.array([5]))
+        no_video = np.zeros((0, model.config.d_model))
+        seq = MultimodalSequence(VideoLayout(1, 1, 1), no_video, [], [5])
         out = model.prefill(seq, capture=True)
         assert out.cache.length == 1
         assert out.capture.shape == (1, 0)
@@ -118,7 +127,7 @@ class TestPrefill:
         )
         cache = model.prefill(pruned).cache
         expected = np.concatenate([keep, 64 + np.arange(16)])
-        assert np.array_equal(cache.positions(), expected)
+        assert np.array_equal(cache.pos[: cache.length], expected)
 
     def test_position_overflow_rejected(self):
         config = small_config(max_positions=40)
@@ -184,7 +193,37 @@ class TestGuidanceCapture:
         n = len(seq)
         assert np.array_equal(on.cache.k[:, :n], off.cache.k[:, :n])
         assert np.array_equal(on.cache.v[:, :n], off.cache.v[:, :n])
-        assert np.array_equal(on.cache.positions(), off.cache.positions())
+        assert np.array_equal(on.cache.pos[:n], off.cache.pos[:n])
+
+
+D = small_config().d_model
+
+
+def two_cells(embeds=None, indices=(0, 1), tokens=(3,), layout=VideoLayout(1, 1, 2)):
+    """A two-cell video prompt with one language token, one field replaced."""
+    embeds = np.zeros((2, D)) if embeds is None else embeds
+    return MultimodalSequence(layout, embeds, indices, tokens)
+
+
+NON_INTEGER_INPUT = {
+    "position_nan": (PositionError, lambda m: m.forward_block(m.new_cache(), [1, 2], [0, np.nan])),
+    "position_fraction": (PositionError, lambda m: m.forward_block(m.new_cache(), [1, 2], [0, 1.5])),
+    "embeds_1d": (SequenceError, lambda m: two_cells(embeds=np.zeros(7))),
+    "embeds_1d_even": (SequenceError, lambda m: two_cells(embeds=np.zeros(2 * D))),
+    "token_fraction": (SequenceError, lambda m: two_cells(tokens=[1.7])),
+    "index_fraction": (SequenceError, lambda m: two_cells(indices=[0, 1.5])),
+    "layout_fraction": (SequenceError, lambda m: VideoLayout(1.5, 2, 2)),
+    "no_layout": (SequenceError, lambda m: two_cells(layout=None)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_INPUT))
+def test_malformed_input_raises_typed_error(name):
+    """Non-integer positions, tokens, indices and layout sizes, 1-D video
+    embeddings and a missing layout raise the package's own errors."""
+    error, call = NON_INTEGER_INPUT[name]
+    with pytest.raises(error):
+        call(init_model(small_config()))
 
 
 class TestTiledAttention:
@@ -270,7 +309,6 @@ class TestDecode:
         model = init_model(config)
         rng = np.random.default_rng(11)
         tokens = rng.integers(0, config.vocab_size, size=24)
-        seq = MultimodalSequence.language_only(tokens)
         full_cache = model.new_cache()
         full_logits = model.forward_block(full_cache, tokens, np.arange(24))
 
@@ -345,9 +383,9 @@ class TestRollback:
     def test_full_keep_is_noop(self):
         model = init_model(small_config())
         out = model.prefill(random_prompt(model.config))
-        before = out.cache.positions()
+        before = out.cache.pos[: out.cache.length].copy()
         out.cache.rollback(out.cache.length)
-        assert np.array_equal(out.cache.positions(), before)
+        assert np.array_equal(out.cache.pos[: out.cache.length], before)
 
     def test_rollback_zero_then_refill(self):
         model = init_model(small_config())
@@ -364,15 +402,13 @@ class TestRollback:
         config = small_config()
         model = init_model(config)
         tokens = np.arange(10) + 30
-        seq = MultimodalSequence.language_only(tokens)
-        out = model.prefill(seq)
+        cache = text_cache(model, tokens)
         for i, t in enumerate((1, 2, 3)):
-            model.decode_step(out.cache, t, 10 + i)
-        out.cache.rollback(10)
-        rolled = model.decode_step(out.cache, 7, 10)
+            model.decode_step(cache, t, 10 + i)
+        cache.rollback(10)
+        rolled = model.decode_step(cache, 7, 10)
 
-        fresh = model.prefill(seq)
-        direct = model.decode_step(fresh.cache, 7, 10)
+        direct = model.decode_step(text_cache(model, tokens), 7, 10)
         assert np.array_equal(rolled, direct)
 
     def test_subset_rollback_keeps_accepted_tree_path(self):
@@ -382,8 +418,7 @@ class TestRollback:
         config = small_config()
         model = init_model(config)
         tokens = np.arange(10) + 40
-        seq = MultimodalSequence.language_only(tokens)
-        out = model.prefill(seq)
+        cache = text_cache(model, tokens)
         # two branches of depth 2 hanging off the context: nodes 0,1 are
         # siblings; node 2 extends node 0; node 3 extends node 1
         mask = np.array(
@@ -397,15 +432,15 @@ class TestRollback:
         )
         tree_tokens = np.array([3, 5, 7, 9])
         positions = np.array([10, 10, 11, 11])
-        model.forward_tree(out.cache, tree_tokens, positions, mask)
+        model.forward_tree(cache, tree_tokens, positions, mask)
         # accept the (1, 3) branch: keep prefill slots plus slots 11 and 13
-        out.cache.rollback(np.concatenate([np.arange(10), [11, 13]]))
-        rolled = model.decode_step(out.cache, 2, 12)
+        cache.rollback(np.concatenate([np.arange(10), [11, 13]]))
+        rolled = model.decode_step(cache, 2, 12)
 
-        fresh = model.prefill(seq)
-        model.decode_step(fresh.cache, 5, 10)
-        model.decode_step(fresh.cache, 9, 11)
-        direct = model.decode_step(fresh.cache, 2, 12)
+        fresh = text_cache(model, tokens)
+        model.decode_step(fresh, 5, 10)
+        model.decode_step(fresh, 9, 11)
+        direct = model.decode_step(fresh, 2, 12)
         denom = np.maximum(np.abs(direct), 1e-9)
         assert np.max(np.abs(rolled - direct) / denom) <= 1e-5
 
@@ -435,6 +470,11 @@ class TestRollback:
         out = model.prefill(random_prompt(model.config))
         with pytest.raises(RollbackError):
             out.cache.rollback(out.cache.length + 1)
+
+
+def edit_first_tensor(header, **fields):
+    first = {**header["tensors"][0], **fields}
+    return {**header, "tensors": [first] + header["tensors"][1:]}
 
 
 class TestCheckpoint:
@@ -487,8 +527,23 @@ class TestCheckpoint:
             lambda header: {"config": {"n_layers": 1}, "tensors": header["tensors"]},
             lambda header: [header],
             lambda header: {**header, "tensors": [{"name": "embed", "shape": [1], "offset": 0}]},
+            lambda header: edit_first_tensor(header, offset="0"),
+            lambda header: edit_first_tensor(header, shape=["a"]),
+            lambda header: edit_first_tensor(header, shape=[-2, -4]),
+            lambda header: {**header, "config": {**header["config"], "n_layers": 1.5}},
+            lambda header: {**header, "config": {**header["config"], "rope_theta": "1e4"}},
         ],
-        ids=["empty", "partial_config", "list", "tensor_without_dtype"],
+        ids=[
+            "empty",
+            "partial_config",
+            "list",
+            "tensor_without_dtype",
+            "offset_string",
+            "shape_not_integer",
+            "shape_negative",
+            "n_layers_fraction",
+            "rope_theta_string",
+        ],
     )
     def test_malformed_header_rejected(self, tmp_path, edit):
         path = tmp_path / "model.ckpt"
