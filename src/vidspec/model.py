@@ -9,14 +9,24 @@ float32 checkpoint round-trips bit-exactly.
 Incremental decoding, batched causal continuation and tree-masked forwards all
 share one attention core (`forward_block`), which is why their outputs agree to
 floating-point reduction error and why a rolled-back cache reproduces a fresh
-one bitwise.
+one bitwise. `forward_block` is a hidden-state core (`_hidden`) followed by the
+head (`final_norm`, then `head`); `prefill` runs the core chunk by chunk and
+the head on the final chunk's rows only.
 
-The core runs attention over tiles of 64 block rows, all heads at once, with
-the softmax done in place on the tile's scores. A block mask never admits a
-later block item, so no row of a tile ``[a, b)`` attends a column past
-``L0 + b`` (``L0`` live cache slots before the block): those columns are never
-computed, which changes the result only by summation order. No
-``(heads, n, L0 + n)`` score array is ever allocated.
+The core runs attention over tiles of 64 block rows, all heads at once, and
+does only the work whose result it keeps; each step below changes the result
+only by rounding:
+
+- A block mask never admits a later block item, so no row of a tile ``[a, b)``
+  attends a column past ``L0 + b`` (``L0`` live cache slots before the block):
+  those columns are never computed. No ``(heads, n, L0 + n)`` score array is
+  ever allocated.
+- ``1/sqrt(d_head)`` is folded into q once per layer.
+- A causal tile sees every column before ``L0 + a``, so only its diagonal
+  square is masked; a tree tile masks all of its block columns.
+- The softmax is normalised after ``scores @ V``: the tile's scores become
+  ``exp(s - max)`` in place, and the ``(heads, rows, d_head)`` context is
+  divided by their row sums.
 """
 
 from __future__ import annotations
@@ -166,11 +176,17 @@ class KvCache:
         self.length = m
 
     def clone(self) -> "KvCache":
+        """A copy of the live slots, at the same capacity. The dead slots are
+        fresh zeros (a lazily zeroed allocation) rather than a copy."""
+        n = self.length
         other = KvCache.__new__(KvCache)
-        other.k = self.k.copy()
-        other.v = self.v.copy()
-        other.pos = self.pos.copy()
-        other.length = self.length
+        other.k = np.zeros(self.k.shape)
+        other.v = np.zeros(self.v.shape)
+        other.k[:, :n] = self.k[:, :n]
+        other.v[:, :n] = self.v[:, :n]
+        other.pos = np.full(self.capacity, -1, dtype=np.int64)
+        other.pos[:n] = self.pos[:n]
+        other.length = n
         return other
 
 
@@ -190,8 +206,11 @@ class PrefillResult:
     capture: np.ndarray | None = None
 
 
-def _rms_normalize(x: np.ndarray) -> np.ndarray:
-    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + _RMS_EPS)
+def _rms_norm(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """RMSNorm of the rows of a 2-D ``x``, scaled by ``weight``."""
+    out = x / np.sqrt(np.einsum("ij,ij->i", x, x) / x.shape[1] + _RMS_EPS)[:, None]
+    out *= weight
+    return out
 
 
 def rope_angles(positions: np.ndarray, d_head: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +287,6 @@ class Model:
         items,
         positions,
         block_mask: np.ndarray | None = None,
-        _capture: tuple[np.ndarray, int] | None = None,
     ) -> np.ndarray:
         """Run a block of items against the cache in one forward pass.
 
@@ -277,17 +295,14 @@ class Model:
         be admitted). The cache is extended by the block; the caller owns any
         rollback.
 
-        Attention runs in tiles of ``_ROW_TILE`` block rows. Tile ``[a, b)``
-        scores only the ``L0 + b`` columns its rows can see (``L0`` slots were
-        live before the block): ``block_mask`` is checked to admit no later
-        item, so every column past ``L0 + b`` is hidden from the whole tile
-        and skipping it is exact up to summation order. Scaling, masking and
-        softmax are done in place on the tile's scores.
-
-        ``_capture = (acc, n_video)`` is prefill's guidance accumulator: for
-        every block item at cache slot ``>= n_video`` (a language item) and
-        every layer, its head-summed attention on slots ``[0, n_video)`` is
-        added to row ``slot - n_video`` of ``acc``.
+        The forward is the hidden-state core (``_hidden``, which also writes
+        the cache) followed by the head, ``final_norm`` then ``head``. Inside
+        the core, attention runs in tiles of ``_ROW_TILE`` block rows; tile
+        ``[a, b)`` scores only the ``L0 + b`` columns its rows can see (``L0``
+        slots were live before the block), because ``block_mask`` is checked
+        to admit no later item. The core folds ``1/sqrt(d_head)`` into q,
+        masks only the diagonal square of a causal tile and normalises the
+        softmax after ``scores @ V`` (see ``_hidden``).
 
         Returns (n, vocab) logits, one row per block item.
         """
@@ -296,6 +311,18 @@ class Model:
         positions = integer_array(positions, PositionError, "positions").reshape(-1)
         if positions.shape[0] != n:
             raise PositionError(f"{n} items but {positions.shape[0]} positions")
+        self._check_positions(cache, positions)
+        if block_mask is not None:
+            block_mask = np.asarray(block_mask, dtype=bool)
+            if block_mask.shape != (n, n):
+                raise MaskError(f"block mask must be {(n, n)}, got {block_mask.shape}")
+            if not np.all(np.diagonal(block_mask)):
+                raise MaskError("block mask must admit self-attention on the diagonal")
+            if np.any(np.triu(block_mask, k=1)):
+                raise MaskError("block mask admits a later block item")
+        return self._logits(self._hidden(cache, emb, positions, block_mask))
+
+    def _check_positions(self, cache: KvCache, positions: np.ndarray) -> None:
         if positions.size and (positions.min() < 0 or positions.max() >= self.config.max_positions):
             raise PositionError(
                 f"positions must lie in [0, {self.config.max_positions}), got "
@@ -305,43 +332,65 @@ class Model:
             raise PositionError(
                 f"position {positions.min()} not beyond cache maximum {cache.max_position}"
             )
-        if block_mask is not None:
-            block_mask = np.asarray(block_mask, dtype=bool)
-            if block_mask.shape != (n, n):
-                raise MaskError(f"block mask must be {(n, n)}, got {block_mask.shape}")
-            if not np.all(np.diagonal(block_mask)):
-                raise MaskError("block mask must admit self-attention on the diagonal")
-            if np.any(np.triu(block_mask, k=1)):
-                raise MaskError("block mask admits a later block item")
 
+    def _logits(self, h: np.ndarray) -> np.ndarray:
+        """(rows, d_model) final hidden states -> (rows, vocab) logits."""
+        return _rms_norm(h, self.params["final_norm"]) @ self.params["head"]
+
+    def _hidden(
+        self,
+        cache: KvCache,
+        h: np.ndarray,
+        positions: np.ndarray,
+        block_mask: np.ndarray | None = None,
+        capture: tuple[np.ndarray, int] | None = None,
+    ) -> np.ndarray:
+        """Final hidden states of a validated block; extends the cache.
+
+        ``h`` holds the block's (n, d_model) embeddings, is owned by the
+        caller and is updated in place into the returned hidden states.
+
+        A causal tile ``[r0, r1)`` masks only its diagonal square, columns
+        ``L0 + r0`` to ``L0 + r1``; a tree tile masks all of its block
+        columns, since a tree row may not see an earlier block item. The
+        tile's context is divided by the softmax row sums ``z`` after
+        ``scores @ V``.
+
+        ``capture = (acc, n_video)`` is prefill's guidance accumulator: for
+        every block item at cache slot ``>= n_video`` (a language item) and
+        every layer, its head-summed attention on slots ``[0, n_video)`` is
+        added to row ``slot - n_video`` of ``acc``.
+        """
         c = self.config
+        n = h.shape[0]
         L0 = cache.length
         m = L0 + n
         cache.ensure_capacity(m)
 
+        causal = block_mask is None
         if n == 1:
             # A single item needs no mask, but the tile loop below still
             # indexes it, so a one-item block raises TypeError in layer 0
             # (ROADMAP item 0 keeps this until decode is gated per token).
             blocked = None
-        elif block_mask is None:
+        elif causal:
             blocked = np.triu(np.ones((n, n), dtype=bool), k=1)
         else:
             blocked = ~block_mask
 
         first = n  # first block row that is a language item; n when not capturing
-        if _capture is not None:
-            acc, n_video = _capture
+        if capture is not None:
+            acc, n_video = capture
             first = max(n_video - L0, 0)
 
         cos, sin = rope_angles(positions, c.d_head, c.rope_theta)
-        h = emb
         p = self.params
         ctx = np.empty((c.n_heads, n, c.d_head))
         for layer in range(c.n_layers):
             pre = f"layers.{layer}."
-            x = _rms_normalize(h) * p[pre + "attn_norm"]
+            x = _rms_norm(h, p[pre + "attn_norm"])
             q = apply_rope((x @ p[pre + "wq"]).reshape(n, c.n_heads, c.d_head), cos, sin)
+            q *= self._inv_sqrt_dh
             k = apply_rope((x @ p[pre + "wk"]).reshape(n, c.n_heads, c.d_head), cos, sin)
             v = (x @ p[pre + "wv"]).reshape(n, c.n_heads, c.d_head)
             cache.k[layer, L0:m] = k
@@ -353,30 +402,30 @@ class Model:
                 r1 = min(r0 + _ROW_TILE, n)
                 # columns past L0 + r1 are hidden from every row of the tile
                 scores = np.matmul(q[:, r0:r1], keys[:, :, : L0 + r1])
-                scores *= self._inv_sqrt_dh
-                np.copyto(scores[:, :, L0:], -np.inf, where=blocked[None, r0:r1, :r1])
+                c0 = r0 if causal else 0  # block columns before c0 need no mask
+                np.copyto(scores[:, :, L0 + c0 :], -np.inf, where=blocked[None, r0:r1, c0:r1])
                 scores -= scores.max(axis=-1, keepdims=True)
                 np.exp(scores, out=scores)
-                scores /= scores.sum(axis=-1, keepdims=True)
+                z = scores.sum(axis=-1, keepdims=True)  # >= 1: the row maximum gives exp(0)
+                tile_ctx = ctx[:, r0:r1]
+                np.matmul(scores, vals[:, : L0 + r1], out=tile_ctx)
+                tile_ctx /= z
                 lang = max(r0, first)
                 if lang < r1:
-                    acc[L0 + lang - n_video : L0 + r1 - n_video] += scores[
-                        :, lang - r0 :, :n_video
-                    ].sum(axis=0)
-                np.matmul(scores, vals[:, : L0 + r1], out=ctx[:, r0:r1])
-            h = h + ctx.transpose(1, 0, 2).reshape(n, c.d_model) @ p[pre + "wo"]
-            x = _rms_normalize(h) * p[pre + "mlp_norm"]
+                    probs = scores[:, lang - r0 :, :n_video] / z[:, lang - r0 :]
+                    acc[L0 + lang - n_video : L0 + r1 - n_video] += probs.sum(axis=0)
+            h += ctx.transpose(1, 0, 2).reshape(n, c.d_model) @ p[pre + "wo"]
+            x = _rms_norm(h, p[pre + "mlp_norm"])
             a = x @ p[pre + "w1"]
             t = np.negative(a)  # SiLU in place: a / (1 + exp(-a))
             np.exp(t, out=t)
             t += 1.0
             np.divide(a, t, out=t)
-            h = h + t @ p[pre + "w2"]
+            h += t @ p[pre + "w2"]
 
-        logits = (_rms_normalize(h) * p["final_norm"]) @ p["head"]
         cache.pos[L0:m] = positions
         cache.length = m
-        return logits
+        return h
 
     def prefill(self, seq: MultimodalSequence, capture: bool = False) -> PrefillResult:
         """Build a fresh cache over the whole sequence; optionally capture guidance.
@@ -387,6 +436,11 @@ class Model:
         attention averaged over layers and heads (see ``PrefillResult``),
         summed chunk by chunk in float64; logits and cache are the same
         with ``capture`` on or off.
+
+        The core runs over chunks of ``_PREFILL_CHUNK`` items; the head runs
+        only on the final chunk's rows, whose last row is the result. (A
+        one-row product would take BLAS's matrix-vector path, whose rounding
+        differs from the row of a whole-block ``forward_block``.)
         """
         n = len(seq)
         if n == 0:
@@ -394,19 +448,19 @@ class Model:
         emb = self.embed_sequence(seq)
         positions = seq.positions
         cache = self.new_cache(capacity=n)
+        self._check_positions(cache, positions)
         acc = np.zeros((seq.n_language, seq.n_video)) if capture else None
-        logits = None
         for start in range(0, n, _PREFILL_CHUNK):
             end = min(n, start + _PREFILL_CHUNK)
-            logits = self.forward_block(
+            h = self._hidden(
                 cache,
                 emb[start:end],
                 positions[start:end],
-                _capture=None if acc is None else (acc, seq.n_video),
+                capture=None if acc is None else (acc, seq.n_video),
             )
         if acc is not None:
             acc /= self.config.n_layers * self.config.n_heads
-        return PrefillResult(cache, logits[-1], acc)
+        return PrefillResult(cache, self._logits(h)[-1], acc)
 
     def decode_step(self, cache: KvCache, item, position: int) -> np.ndarray:
         """Append one item and return its (vocab,) logits.

@@ -24,6 +24,11 @@ def integer_array(values, error: type[Exception], what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def _check_layout(layout) -> None:
+    if not isinstance(layout, VideoLayout):
+        raise SequenceError(f"layout must be a VideoLayout, got {layout!r}")
+
+
 @dataclass(frozen=True)
 class VideoLayout:
     """F frames of an H x W token grid, row-major within a frame, frames in time order."""
@@ -62,8 +67,7 @@ class MultimodalSequence:
     _positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.layout, VideoLayout):
-            raise SequenceError(f"layout must be a VideoLayout, got {self.layout!r}")
+        _check_layout(self.layout)
         embeds = np.asarray(self.video_embeds, dtype=np.float64)
         indices = integer_array(self.video_indices, SequenceError, "video indices")
         tokens = integer_array(self.language_tokens, SequenceError, "language tokens")
@@ -100,6 +104,7 @@ class MultimodalSequence:
         language_tokens: np.ndarray,
     ) -> "MultimodalSequence":
         """Unpruned prompt: one embedding per layout cell, in flat order."""
+        _check_layout(layout)
         return cls(layout, video_embeds, np.arange(layout.total, dtype=np.int64), language_tokens)
 
     @property

@@ -73,6 +73,16 @@ class TestInit:
         assert not np.allclose(l7, l8)
 
 
+# Prompts of 1 to 4 prefill chunks; the final chunk holds N mod 512 items
+# (272, 76, 79 and 478).
+ONE_TO_FOUR_CHUNKS = {
+    272: (VideoLayout(4, 8, 8), 16),
+    1100: (VideoLayout(4, 16, 16), 76),
+    1103: (VideoLayout(4, 16, 16), 79),
+    2014: (VideoLayout(7, 16, 16), 222),
+}
+
+
 class TestPrefill:
     def test_single_language_token(self):
         model = init_model(small_config())
@@ -145,6 +155,19 @@ class TestPrefill:
         with pytest.raises(SequenceError):
             model.prefill(seq)
 
+    @pytest.mark.parametrize("n", sorted(ONE_TO_FOUR_CHUNKS))
+    def test_logits_equal_last_row_of_one_block(self, n):
+        """Prefill applies the head to its final chunk only; the result is
+        bitwise the last row of one whole-sequence ``forward_block``."""
+        layout, n_language = ONE_TO_FOUR_CHUNKS[n]
+        model = init_model(small_config(max_positions=2048))
+        seq = random_prompt(model.config, layout, n_language, seed=n)
+        assert len(seq) == n
+        emb = model.embed_sequence(seq)
+        whole = model.forward_block(model.new_cache(), emb, seq.positions)
+        assert np.array_equal(emb, model.embed_sequence(seq))  # input left as it was
+        assert np.array_equal(model.prefill(seq).logits, whole[-1])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_video_row_rejected(self, bad):
         model = init_model(small_config())
@@ -214,13 +237,18 @@ NON_INTEGER_INPUT = {
     "index_fraction": (SequenceError, lambda m: two_cells(indices=[0, 1.5])),
     "layout_fraction": (SequenceError, lambda m: VideoLayout(1.5, 2, 2)),
     "no_layout": (SequenceError, lambda m: two_cells(layout=None)),
+    "full_no_layout": (
+        SequenceError,
+        lambda m: MultimodalSequence.full(None, np.zeros((2, D)), [3]),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NON_INTEGER_INPUT))
 def test_malformed_input_raises_typed_error(name):
     """Non-integer positions, tokens, indices and layout sizes, 1-D video
-    embeddings and a missing layout raise the package's own errors."""
+    embeddings and a missing layout (also in ``MultimodalSequence.full``)
+    raise the package's own errors."""
     error, call = NON_INTEGER_INPUT[name]
     with pytest.raises(error):
         call(init_model(small_config()))
@@ -261,19 +289,28 @@ class TestTiledAttention:
             ref = model.forward_block(out.cache.clone(), tokens[path], positions[path])
             np.testing.assert_allclose(tree_logits[path], ref, rtol=1e-9, atol=1e-9)
 
-    def test_prefill_peak_below_one_score_array(self):
-        """A 1-layer, 8-head prefill of 512 items never holds an (8, 512, 512)
-        float64 score array (16 MiB)."""
+    @staticmethod
+    def prefill_peak(capture):
+        """Traced peak bytes of a 1-layer, 8-head prefill of 512 items."""
         model = init_model(small_config(n_layers=1, n_heads=8, max_positions=1024))
         seq = random_prompt(model.config, VideoLayout(7, 8, 8), n_language=64)
         assert len(seq) == 512
         tracemalloc.start()
         try:
-            model.prefill(seq)
+            model.prefill(seq, capture=capture)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 512 * 512 * 8
+        return peak
+
+    def test_prefill_peak_below_one_score_array(self):
+        """The prefill never holds an (8, 512, 512) float64 score array
+        (16 MiB)."""
+        assert self.prefill_peak(capture=False) < 8 * 512 * 512 * 8
+
+    def test_capture_prefill_peak_below_one_score_array(self):
+        """Nor does it with the guidance capture on."""
+        assert self.prefill_peak(capture=True) < 8 * 512 * 512 * 8
 
 
 class TestDecode:
@@ -464,6 +501,26 @@ class TestRollback:
         assert np.array_equal(cache.v[:, :m], v)
         assert np.array_equal(cache.pos[:m], pos)
         assert np.all(cache.pos[m:12] == -1)
+
+    def test_clone_copies_live_slots(self):
+        rng = np.random.default_rng(1)
+        cache = KvCache(2, 3, 4, capacity=16)
+        cache.k[:] = rng.normal(size=cache.k.shape)
+        cache.v[:] = rng.normal(size=cache.v.shape)
+        cache.pos[:12] = 3 * np.arange(12)
+        cache.length = 12
+        k, v = cache.k.copy(), cache.v.copy()
+        other = cache.clone()
+        assert other.capacity == cache.capacity and other.length == 12
+        assert np.array_equal(other.k[:, :12], k[:, :12])
+        assert np.array_equal(other.v[:, :12], v[:, :12])
+        assert np.array_equal(other.pos[:12], cache.pos[:12])
+        assert np.all(other.pos[12:] == -1)
+        other.k[:, 3] = 0.0
+        other.v[:, 3] = 0.0
+        other.pos[3] = -1
+        assert np.array_equal(cache.k, k) and np.array_equal(cache.v, v)
+        assert cache.pos[3] == 9
 
     def test_keep_beyond_length_rejected(self):
         model = init_model(small_config())
