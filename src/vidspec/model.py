@@ -73,6 +73,8 @@ class ModelConfig:
         theta = self.rope_theta
         if not isinstance(theta, (int, float, np.integer, np.floating)) or not theta > 0:
             raise ConfigError(f"rope_theta must be a positive number, got {theta!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     @property
     def d_head(self) -> int:
@@ -544,34 +546,41 @@ def init_model(config: ModelConfig) -> Model:
 
 def save_checkpoint(model: Model, path) -> None:
     """Textual header (config + per-tensor name/shape/dtype/offset), then raw
-    little-endian float32 tensor data."""
+    little-endian float32 tensor data.
+
+    The data is streamed one tensor at a time: the offsets follow from the
+    shapes, so each tensor is narrowed to float32 and written just after the
+    one before it, and at most one float32 copy is alive at a time.
+    """
     names = sorted(model.params)
     tensors = []
     offset = 0
-    blobs = []
     for name in names:
-        blob = model.params[name].astype("<f4").tobytes()
-        tensors.append(
-            {
-                "name": name,
-                "shape": list(model.params[name].shape),
-                "dtype": "float32",
-                "offset": offset,
-            }
-        )
-        offset += len(blob)
-        blobs.append(blob)
+        arr = model.params[name]
+        tensors.append({"name": name, "shape": list(arr.shape), "dtype": "float32", "offset": offset})
+        offset += 4 * arr.size
     header = json.dumps(
         {"config": asdict(model.config), "tensors": tensors}, separators=(",", ":")
     )
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC.encode("ascii") + b"\n")
         fh.write(header.encode("ascii") + b"\n")
-        for blob in blobs:
-            fh.write(blob)
+        for name in names:
+            fh.write(model.params[name].astype("<f4"))
 
 
 def load_checkpoint(path) -> Model:
+    """Read a checkpoint written by ``save_checkpoint``; float32 data widened
+    to float64.
+
+    Every entry must name a tensor of the config, once, with its shape,
+    dtype float32 and an integer offset whose range lies inside the data
+    after the header (its length is the file size less the header). The
+    data is streamed one tensor at a time, each read straight into its own
+    float32 array and widened into its float64 weight, so at most one
+    float32 tensor is alive at a time. A malformed or truncated file
+    raises ``ConfigError``.
+    """
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
         if magic != _CKPT_MAGIC.encode("ascii"):
@@ -580,29 +589,41 @@ def load_checkpoint(path) -> Model:
             header = json.loads(fh.readline())
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise ConfigError(f"checkpoint header is not valid JSON: {exc}") from exc
-        data = fh.read()
-    try:
-        config = ModelConfig(**header["config"])
-        tensors = [
-            (e["name"], tuple(e["shape"]), e["dtype"], e["offset"]) for e in header["tensors"]
-        ]
-    except (KeyError, TypeError) as exc:  # a missing field or a field of the wrong type
-        raise ConfigError(f"malformed checkpoint header: {exc!r}") from exc
-    expected = param_shapes(config)
-    params: dict[str, np.ndarray] = {}
-    for name, shape, dtype, start in tensors:
-        if dtype != "float32":
-            raise ConfigError(f"unsupported tensor dtype {dtype}")
-        if name not in expected or shape != expected[name]:
-            raise ConfigError(f"tensor {name!r} of shape {shape} is not in this config")
-        if not isinstance(start, int):
-            raise ConfigError(f"{name}: offset {start!r} is not an integer")
-        count = int(np.prod(shape))
-        if start < 0 or start + 4 * count > len(data):
-            raise ConfigError(
-                f"{name}: tensor data [{start}, {start + 4 * count}) outside "
-                f"the {len(data)} data bytes (truncated file?)"
-            )
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=start)
-        params[name] = arr.reshape(shape).astype(np.float64)
+        data_start = fh.tell()
+        n_data = fh.seek(0, 2) - data_start
+        try:
+            config = ModelConfig(**header["config"])
+            tensors = [
+                (e["name"], tuple(e["shape"]), e["dtype"], e["offset"]) for e in header["tensors"]
+            ]
+        except (KeyError, TypeError) as exc:  # a missing field or a field of the wrong type
+            raise ConfigError(f"malformed checkpoint header: {exc!r}") from exc
+        expected = param_shapes(config)
+        # Every float64 weight is allocated before any data is read, so the
+        # float32 reads never lie between them. With each weight allocated
+        # after its read, a freed model left holes that later arrays fit
+        # badly, and peak RSS varied with the heap's layout.
+        weights = {name: np.empty(shape) for name, shape in expected.items()}
+        raw = fh.raw  # unbuffered from here on: each tensor is read into its own array
+        params: dict[str, np.ndarray] = {}
+        for name, shape, dtype, start in tensors:
+            if dtype != "float32":
+                raise ConfigError(f"unsupported tensor dtype {dtype}")
+            if name not in expected or shape != expected[name]:
+                raise ConfigError(f"tensor {name!r} of shape {shape} is not in this config")
+            if name in params:
+                raise ConfigError(f"tensor {name!r} is listed twice")
+            if not isinstance(start, int):
+                raise ConfigError(f"{name}: offset {start!r} is not an integer")
+            arr = np.empty(shape, dtype="<f4")
+            if start < 0 or start + arr.nbytes > n_data:
+                raise ConfigError(
+                    f"{name}: tensor data [{start}, {start + arr.nbytes}) outside "
+                    f"the {n_data} data bytes (truncated file?)"
+                )
+            raw.seek(data_start + start)
+            if raw.readinto(arr) != arr.nbytes:
+                raise ConfigError(f"{name}: tensor data cut short")
+            params[name] = weights[name]
+            params[name][...] = arr
     return Model(config, params)

@@ -167,6 +167,8 @@ def plan_attention_top_k(scores, layout: VideoLayout, r: float) -> PruningPlan:
 
 
 def plan_random(layout: VideoLayout, r: float, seed: int) -> PruningPlan:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise PlanError(f"seed must be a non-negative integer, got {seed!r}")
     k_total = retention_budget(layout.total, r)
     rng = np.random.default_rng(seed)
     retained = np.sort(rng.choice(layout.total, size=k_total, replace=False))

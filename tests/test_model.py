@@ -41,6 +41,17 @@ def random_prompt(config, layout=VideoLayout(4, 4, 4), n_language=16, seed=0):
     return MultimodalSequence.full(layout, video, tokens)
 
 
+def traced_peak(call):
+    """``call()``'s result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def text_cache(model, tokens):
     """A fresh cache holding ``tokens`` at positions 0..n-1, written as one
     causal block."""
@@ -241,14 +252,18 @@ NON_INTEGER_INPUT = {
         SequenceError,
         lambda m: MultimodalSequence.full(None, np.zeros((2, D)), [3]),
     ),
+    "seed_none": (ConfigError, lambda m: small_config(seed=None)),
+    "seed_negative": (ConfigError, lambda m: small_config(seed=-1)),
+    "seed_fraction": (ConfigError, lambda m: small_config(seed=1.5)),
+    "seed_string": (ConfigError, lambda m: small_config(seed="x")),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NON_INTEGER_INPUT))
 def test_malformed_input_raises_typed_error(name):
     """Non-integer positions, tokens, indices and layout sizes, 1-D video
-    embeddings and a missing layout (also in ``MultimodalSequence.full``)
-    raise the package's own errors."""
+    embeddings, a missing layout (also in ``MultimodalSequence.full``) and a
+    seed that is not a non-negative integer raise the package's own errors."""
     error, call = NON_INTEGER_INPUT[name]
     with pytest.raises(error):
         call(init_model(small_config()))
@@ -295,13 +310,7 @@ class TestTiledAttention:
         model = init_model(small_config(n_layers=1, n_heads=8, max_positions=1024))
         seq = random_prompt(model.config, VideoLayout(7, 8, 8), n_language=64)
         assert len(seq) == 512
-        tracemalloc.start()
-        try:
-            model.prefill(seq, capture=capture)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak
+        return traced_peak(lambda: model.prefill(seq, capture=capture))[1]
 
     def test_prefill_peak_below_one_score_array(self):
         """The prefill never holds an (8, 512, 512) float64 score array
@@ -534,6 +543,12 @@ def edit_first_tensor(header, **fields):
     return {**header, "tensors": [first] + header["tensors"][1:]}
 
 
+def duplicate_entry(header):
+    """A second ``layers.0.wq`` entry, pointing at ``layers.0.wk``'s data."""
+    entries = {e["name"]: e for e in header["tensors"]}
+    return {**entries["layers.0.wq"], "offset": entries["layers.0.wk"]["offset"]}
+
+
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         model = init_model(small_config())
@@ -589,6 +604,8 @@ class TestCheckpoint:
             lambda header: edit_first_tensor(header, shape=[-2, -4]),
             lambda header: {**header, "config": {**header["config"], "n_layers": 1.5}},
             lambda header: {**header, "config": {**header["config"], "rope_theta": "1e4"}},
+            lambda header: {**header, "config": {**header["config"], "seed": "abc"}},
+            lambda header: {**header, "tensors": header["tensors"] + [duplicate_entry(header)]},
         ],
         ids=[
             "empty",
@@ -600,6 +617,8 @@ class TestCheckpoint:
             "shape_negative",
             "n_layers_fraction",
             "rope_theta_string",
+            "seed_string",
+            "duplicate_tensor",
         ],
     )
     def test_malformed_header_rejected(self, tmp_path, edit):
@@ -610,3 +629,27 @@ class TestCheckpoint:
         path.write_bytes(magic + b"\n" + header + b"\n" + data)
         with pytest.raises(ConfigError):
             load_checkpoint(path)
+
+    @staticmethod
+    def param_bytes(model):
+        """P: the bytes of the float64 params; the checkpoint holds P / 2."""
+        return sum(arr.nbytes for arr in model.params.values())
+
+    def test_save_streams_tensors(self, tmp_path):
+        """Save never holds the data section: its traced peak stays below a
+        quarter of the data bytes (the largest float32 tensor here is 7%)."""
+        model = init_model(small_config(n_layers=4))
+        data_bytes = self.param_bytes(model) // 2
+        _, peak = traced_peak(lambda: save_checkpoint(model, tmp_path / "model.ckpt"))
+        assert peak < data_bytes / 4
+
+    def test_load_streams_tensors(self, tmp_path):
+        """Load holds the float64 params and at most a quarter of the data
+        bytes besides, never the whole data section."""
+        model = init_model(small_config(n_layers=4))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        p = self.param_bytes(model)
+        loaded, peak = traced_peak(lambda: load_checkpoint(path))
+        assert self.param_bytes(loaded) == p
+        assert peak < p + (p // 2) / 4

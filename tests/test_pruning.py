@@ -240,20 +240,26 @@ class TestBaselinePlanners:
         assert set(plan.retained.tolist()) == {0, 1, 3}
 
 
-NON_FINITE = {
+MALFORMED_INPUT = {
     "two_stage_nan": lambda layout: plan_two_stage([np.nan, 1, 1, 1], layout, 0.5, 0.5),
     "attention_top_k_nan": lambda layout: plan_attention_top_k([1, 1, np.nan, 1], layout, 0.5),
     "top_p_inf": lambda layout: stage1_top_p([np.inf, 1, 1], 0.5),
     "temporal_nan": lambda layout: plan_temporal_similarity(
         np.where(np.arange(12).reshape(4, 3) == 7, np.nan, 1.0), layout, 0.5
     ),
+    "random_seed_none": lambda layout: plan_random(layout, 0.5, None),
+    "random_seed_negative": lambda layout: plan_random(layout, 0.5, -1),
+    "random_seed_fraction": lambda layout: plan_random(layout, 0.5, 1.5),
+    "random_seed_string": lambda layout: plan_random(layout, 0.5, "x"),
 }
 
 
-@pytest.mark.parametrize("name", sorted(NON_FINITE))
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUT))
 def test_non_finite_input_rejected(name):
+    """Non-finite scores or embeddings, and a random plan's seed that is not
+    a non-negative integer, raise ``PlanError``."""
     with pytest.raises(PlanError):
-        NON_FINITE[name](VideoLayout(2, 1, 2))
+        MALFORMED_INPUT[name](VideoLayout(2, 1, 2))
 
 
 class TestBudgetExactness:
