@@ -7,20 +7,20 @@ arithmetic runs in float64; weights are drawn in float32 and widened, so a
 float32 checkpoint round-trips bit-exactly.
 
 Incremental decoding, batched causal continuation and tree-masked forwards all
-share one attention core (`forward_block`), which is why their outputs agree to
+share one attention core (`_hidden`), which is why their outputs agree to
 floating-point reduction error and why a rolled-back cache reproduces a fresh
-one bitwise. `forward_block` is a hidden-state core (`_hidden`) followed by the
-head (`final_norm`, then `head`); `prefill` runs the core chunk by chunk and
-the head on the final chunk's rows only.
+one bitwise. `forward_block` and `forward_tree` run the core and then the head
+(`final_norm`, then `head`); `prefill` runs the core chunk by chunk and the
+head on the final chunk's rows only.
 
 The core runs attention over tiles of 64 block rows, all heads at once, and
 does only the work whose result it keeps; each step below changes the result
 only by rounding:
 
-- A block mask never admits a later block item, so no row of a tile ``[a, b)``
-  attends a column past ``L0 + b`` (``L0`` live cache slots before the block):
-  those columns are never computed. No ``(heads, n, L0 + n)`` score array is
-  ever allocated.
+- Neither a causal block nor a tree mask admits a later block item, so no row
+  of a tile ``[a, b)`` attends a column past ``L0 + b`` (``L0`` live cache
+  slots before the block): those columns are never computed. No
+  ``(heads, n, L0 + n)`` score array is ever allocated.
 - ``1/sqrt(d_head)`` is folded into q once per layer.
 - A causal tile sees every column before ``L0 + a``, so only its diagonal
   square is masked; a tree tile masks all of its block columns.
@@ -43,12 +43,12 @@ from .errors import (
     RollbackError,
     SequenceError,
 )
-from .sequence import MultimodalSequence, integer_array
+from .sequence import MultimodalSequence, check_integer, integer_array
 
 _RMS_EPS = 1e-6
 _PREFILL_CHUNK = 512
 _ROW_TILE = 64  # block rows per attention tile
-_CKPT_MAGIC = "VIDSPEC-CKPT 1"
+_CKPT_MAGIC = "VIDSPEC-CKPT 2"
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,7 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("n_layers", "n_heads", "d_model", "vocab_size", "max_positions"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+            check_integer(getattr(self, name), 1, ConfigError, name)
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
@@ -73,8 +71,7 @@ class ModelConfig:
         theta = self.rope_theta
         if not isinstance(theta, (int, float, np.integer, np.floating)) or not theta > 0:
             raise ConfigError(f"rope_theta must be a positive number, got {theta!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_integer(self.seed, 0, ConfigError, "seed")
 
     @property
     def d_head(self) -> int:
@@ -145,21 +142,19 @@ class KvCache:
         self.pos = pos
 
     def rollback(self, keep) -> None:
-        """Keep a prefix (int) or an ordered slot subset (index array).
+        """Keep a prefix (an integer count) or an ordered slot subset (an
+        integer index array); a count ``k`` is the subset ``arange(k)``.
 
         Subset rollback reproduces a fresh cache only when every kept slot
         attended kept slots alone when it was written. Prefixes satisfy this
         trivially; so does a committed prefix plus one accepted tree path,
         because the tree mask hides siblings from each other.
         """
-        if np.isscalar(keep) or isinstance(keep, (int, np.integer)):
-            keep = int(keep)
-            if keep < 0 or keep > self.length:
-                raise RollbackError(f"keep={keep} outside [0, {self.length}]")
-            self.pos[keep : self.length] = -1
-            self.length = keep
-            return
-        idx = np.asarray(keep, dtype=np.int64)
+        idx = integer_array(keep, RollbackError, "kept slots")
+        if idx.ndim == 0:
+            if not 0 <= idx <= self.length:
+                raise RollbackError(f"keep={int(idx)} outside [0, {self.length}]")
+            idx = np.arange(idx)
         if idx.ndim != 1:
             raise RollbackError("slot subset must be 1-D")
         if idx.size:
@@ -283,46 +278,35 @@ class Model:
 
     # -- forward passes ----------------------------------------------------
 
-    def forward_block(
-        self,
-        cache: KvCache,
-        items,
-        positions,
-        block_mask: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Run a block of items against the cache in one forward pass.
+    def forward_block(self, cache: KvCache, items, positions) -> np.ndarray:
+        """Run a causal block of items against the cache in one forward pass.
 
-        Every block item sees all live cache slots plus the block items allowed
-        by ``block_mask`` (causal lower triangle by default; the diagonal must
-        be admitted). The cache is extended by the block; the caller owns any
+        Every block item sees all live cache slots, every earlier block item
+        and itself. The cache is extended by the block; the caller owns any
         rollback.
 
         The forward is the hidden-state core (``_hidden``, which also writes
         the cache) followed by the head, ``final_norm`` then ``head``. Inside
         the core, attention runs in tiles of ``_ROW_TILE`` block rows; tile
         ``[a, b)`` scores only the ``L0 + b`` columns its rows can see (``L0``
-        slots were live before the block), because ``block_mask`` is checked
-        to admit no later item. The core folds ``1/sqrt(d_head)`` into q,
-        masks only the diagonal square of a causal tile and normalises the
-        softmax after ``scores @ V`` (see ``_hidden``).
+        slots were live before the block). The core folds ``1/sqrt(d_head)``
+        into q, masks only the diagonal square of a causal tile and
+        normalises the softmax after ``scores @ V`` (see ``_hidden``).
 
         Returns (n, vocab) logits, one row per block item.
         """
+        emb, positions = self._block_input(cache, items, positions)
+        return self._logits(self._hidden(cache, emb, positions))
+
+    def _block_input(self, cache: KvCache, items, positions) -> tuple[np.ndarray, np.ndarray]:
+        """A block's embeddings and int64 positions, one position per item,
+        each inside ``max_positions`` and beyond every cached position."""
         emb = self.embed_items(items)
-        n = emb.shape[0]
         positions = integer_array(positions, PositionError, "positions").reshape(-1)
-        if positions.shape[0] != n:
-            raise PositionError(f"{n} items but {positions.shape[0]} positions")
+        if positions.shape[0] != emb.shape[0]:
+            raise PositionError(f"{emb.shape[0]} items but {positions.shape[0]} positions")
         self._check_positions(cache, positions)
-        if block_mask is not None:
-            block_mask = np.asarray(block_mask, dtype=bool)
-            if block_mask.shape != (n, n):
-                raise MaskError(f"block mask must be {(n, n)}, got {block_mask.shape}")
-            if not np.all(np.diagonal(block_mask)):
-                raise MaskError("block mask must admit self-attention on the diagonal")
-            if np.any(np.triu(block_mask, k=1)):
-                raise MaskError("block mask admits a later block item")
-        return self._logits(self._hidden(cache, emb, positions, block_mask))
+        return emb, positions
 
     def _check_positions(self, cache: KvCache, positions: np.ndarray) -> None:
         if positions.size and (positions.min() < 0 or positions.max() >= self.config.max_positions):
@@ -344,13 +328,15 @@ class Model:
         cache: KvCache,
         h: np.ndarray,
         positions: np.ndarray,
-        block_mask: np.ndarray | None = None,
+        tree_mask: np.ndarray | None = None,
         capture: tuple[np.ndarray, int] | None = None,
     ) -> np.ndarray:
         """Final hidden states of a validated block; extends the cache.
 
         ``h`` holds the block's (n, d_model) embeddings, is owned by the
-        caller and is updated in place into the returned hidden states.
+        caller and is updated in place into the returned hidden states. The
+        block is causal unless ``forward_tree`` passes its checked
+        ``tree_mask``.
 
         A causal tile ``[r0, r1)`` masks only its diagonal square, columns
         ``L0 + r0`` to ``L0 + r1``; a tree tile masks all of its block
@@ -369,7 +355,7 @@ class Model:
         m = L0 + n
         cache.ensure_capacity(m)
 
-        causal = block_mask is None
+        causal = tree_mask is None
         if n == 1:
             # A single item needs no mask, but the tile loop below still
             # indexes it, so a one-item block raises TypeError in layer 0
@@ -378,7 +364,7 @@ class Model:
         elif causal:
             blocked = np.triu(np.ones((n, n), dtype=bool), k=1)
         else:
-            blocked = ~block_mask
+            blocked = ~tree_mask
 
         first = n  # first block row that is a language item; n when not capturing
         if capture is not None:
@@ -489,9 +475,9 @@ class Model:
         all nodes; the caller rolls back the non-accepted ones.
         """
         tree_mask = np.asarray(tree_mask, dtype=bool)
+        if tree_mask.ndim != 2 or tree_mask.shape[0] != tree_mask.shape[1]:
+            raise MaskError(f"tree mask must be square, got shape {tree_mask.shape}")
         n = tree_mask.shape[0]
-        if tree_mask.shape != (n, n):
-            raise MaskError("tree mask must be square")
         if not np.all(np.diagonal(tree_mask)):
             raise MaskError("tree mask must admit self-attention")
         if np.any(np.triu(tree_mask, k=1)):
@@ -508,7 +494,7 @@ class Model:
                     )
                 depths[i] = depths[parent] + 1
             ancestors.append(anc)
-        positions = integer_array(positions, PositionError, "positions").reshape(-1)
+        emb, positions = self._block_input(cache, items, positions)
         if positions.shape[0] != n:
             raise PositionError("one position per tree node required")
         base = cache.max_position + 1
@@ -517,7 +503,7 @@ class Model:
             raise PositionError(
                 f"tree positions must equal next-position + depth; expected {expected.tolist()}"
             )
-        return self.forward_block(cache, items, positions, block_mask=tree_mask)
+        return self._logits(self._hidden(cache, emb, positions, tree_mask))
 
 
 def init_model(config: ModelConfig) -> Model:
@@ -545,27 +531,19 @@ def init_model(config: ModelConfig) -> Model:
 
 
 def save_checkpoint(model: Model, path) -> None:
-    """Textual header (config + per-tensor name/shape/dtype/offset), then raw
-    little-endian float32 tensor data.
+    """The magic line, a one-line JSON header ``{"config": ...}``, then each
+    tensor as raw little-endian float32, in sorted name order.
 
-    The data is streamed one tensor at a time: the offsets follow from the
-    shapes, so each tensor is narrowed to float32 and written just after the
-    one before it, and at most one float32 copy is alive at a time.
+    The header holds the config alone: ``param_shapes(config)`` gives every
+    tensor's shape, so no per-tensor index is written. Each tensor is
+    narrowed to float32 and written just after the one before it, so at
+    most one float32 copy is alive at a time.
     """
-    names = sorted(model.params)
-    tensors = []
-    offset = 0
-    for name in names:
-        arr = model.params[name]
-        tensors.append({"name": name, "shape": list(arr.shape), "dtype": "float32", "offset": offset})
-        offset += 4 * arr.size
-    header = json.dumps(
-        {"config": asdict(model.config), "tensors": tensors}, separators=(",", ":")
-    )
+    header = json.dumps({"config": asdict(model.config)}, separators=(",", ":"))
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC.encode("ascii") + b"\n")
         fh.write(header.encode("ascii") + b"\n")
-        for name in names:
+        for name in sorted(model.params):
             fh.write(model.params[name].astype("<f4"))
 
 
@@ -573,57 +551,40 @@ def load_checkpoint(path) -> Model:
     """Read a checkpoint written by ``save_checkpoint``; float32 data widened
     to float64.
 
-    Every entry must name a tensor of the config, once, with its shape,
-    dtype float32 and an integer offset whose range lies inside the data
-    after the header (its length is the file size less the header). The
-    data is streamed one tensor at a time, each read straight into its own
-    float32 array and widened into its float64 weight, so at most one
-    float32 tensor is alive at a time. A malformed or truncated file
-    raises ``ConfigError``.
+    The header must be ``{"config": ...}`` and nothing else; the tensors
+    follow in sorted name order with the shapes ``param_shapes(config)``
+    gives. Each is read straight into its own float32 array and widened
+    into its float64 weight, so at most one float32 tensor is alive at a
+    time. A file of another version, a malformed header, and data that is
+    cut short or runs past the last tensor raise ``ConfigError``.
     """
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
         if magic != _CKPT_MAGIC.encode("ascii"):
-            raise ConfigError(f"not a checkpoint file (magic {magic!r})")
+            raise ConfigError(f"not a {_CKPT_MAGIC} file (first line {magic!r})")
         try:
             header = json.loads(fh.readline())
         except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise ConfigError(f"checkpoint header is not valid JSON: {exc}") from exc
-        data_start = fh.tell()
-        n_data = fh.seek(0, 2) - data_start
+        if not isinstance(header, dict) or set(header) != {"config"}:
+            got = sorted(header) if isinstance(header, dict) else type(header).__name__
+            raise ConfigError(f'checkpoint header must be {{"config": ...}} alone, got {got}')
         try:
             config = ModelConfig(**header["config"])
-            tensors = [
-                (e["name"], tuple(e["shape"]), e["dtype"], e["offset"]) for e in header["tensors"]
-            ]
-        except (KeyError, TypeError) as exc:  # a missing field or a field of the wrong type
-            raise ConfigError(f"malformed checkpoint header: {exc!r}") from exc
-        expected = param_shapes(config)
+        except TypeError as exc:  # a missing, unknown or non-mapping field
+            raise ConfigError(f"malformed checkpoint config: {exc}") from exc
         # Every float64 weight is allocated before any data is read, so the
         # float32 reads never lie between them. With each weight allocated
         # after its read, a freed model left holes that later arrays fit
         # badly, and peak RSS varied with the heap's layout.
-        weights = {name: np.empty(shape) for name, shape in expected.items()}
+        weights = {name: np.empty(shape) for name, shape in param_shapes(config).items()}
         raw = fh.raw  # unbuffered from here on: each tensor is read into its own array
-        params: dict[str, np.ndarray] = {}
-        for name, shape, dtype, start in tensors:
-            if dtype != "float32":
-                raise ConfigError(f"unsupported tensor dtype {dtype}")
-            if name not in expected or shape != expected[name]:
-                raise ConfigError(f"tensor {name!r} of shape {shape} is not in this config")
-            if name in params:
-                raise ConfigError(f"tensor {name!r} is listed twice")
-            if not isinstance(start, int):
-                raise ConfigError(f"{name}: offset {start!r} is not an integer")
-            arr = np.empty(shape, dtype="<f4")
-            if start < 0 or start + arr.nbytes > n_data:
-                raise ConfigError(
-                    f"{name}: tensor data [{start}, {start + arr.nbytes}) outside "
-                    f"the {n_data} data bytes (truncated file?)"
-                )
-            raw.seek(data_start + start)
+        raw.seek(fh.tell())
+        for name in sorted(weights):
+            arr = np.empty(weights[name].shape, dtype="<f4")
             if raw.readinto(arr) != arr.nbytes:
-                raise ConfigError(f"{name}: tensor data cut short")
-            params[name] = weights[name]
-            params[name][...] = arr
-    return Model(config, params)
+                raise ConfigError(f"{name}: tensor data cut short (truncated file?)")
+            weights[name][...] = arr
+        if raw.read(1):
+            raise ConfigError("data runs past the last tensor")
+    return Model(config, weights)

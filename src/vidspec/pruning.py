@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateScoresError, PlanError
 from .guidance import GuidanceScores, descending_order
-from .sequence import MultimodalSequence, VideoLayout, integer_array
+from .sequence import MultimodalSequence, VideoLayout, check_integer, integer_array
 
 logger = logging.getLogger(__name__)
 
@@ -32,9 +32,14 @@ def round_half_away(x: float) -> int:
     return int(np.floor(x + 0.5)) if x >= 0 else -int(np.floor(-x + 0.5))
 
 
+def _check_unit(value, what: str) -> None:
+    """``PlanError`` unless ``value`` is a real number in [0, 1]."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or not 0.0 <= value <= 1.0:
+        raise PlanError(f"{what} must lie in [0, 1], got {value!r}")
+
+
 def retention_budget(n_video: int, r: float) -> int:
-    if not 0.0 <= r <= 1.0:
-        raise PlanError(f"pruning ratio must lie in [0, 1], got {r}")
+    _check_unit(r, "pruning ratio")
     return round_half_away((1.0 - r) * n_video)
 
 
@@ -90,8 +95,7 @@ def stage1_top_p(scores, lambda_r: float) -> np.ndarray:
     Ties in score order break by ascending flat index. Returns ascending flat
     indices. lambda_r = 0 keeps nothing; lambda_r = 1 keeps everything.
     """
-    if not 0.0 <= lambda_r <= 1.0:
-        raise PlanError(f"lambda_r must lie in [0, 1], got {lambda_r}")
+    _check_unit(lambda_r, "lambda_r")
     values = _score_values(scores)
     order = descending_order(values)
     # prefix sums with the empty prefix included; the threshold is taken
@@ -113,7 +117,7 @@ def stage2_uniform(layout: VideoLayout, v_r, r: float) -> np.ndarray:
     arithmetic, so the spacing between consecutive picks is floor(M/K_U) or
     ceil(M/K_U)).
     """
-    v_r = np.asarray(v_r, dtype=np.int64)
+    v_r = integer_array(v_r, PlanError, "v_r")
     k_total = retention_budget(layout.total, r)
     k_uniform = k_total - v_r.size
     if k_uniform <= 0:
@@ -167,8 +171,7 @@ def plan_attention_top_k(scores, layout: VideoLayout, r: float) -> PruningPlan:
 
 
 def plan_random(layout: VideoLayout, r: float, seed: int) -> PruningPlan:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise PlanError(f"seed must be a non-negative integer, got {seed!r}")
+    check_integer(seed, 0, PlanError, "seed")
     k_total = retention_budget(layout.total, r)
     rng = np.random.default_rng(seed)
     retained = np.sort(rng.choice(layout.total, size=k_total, replace=False))

@@ -24,6 +24,13 @@ def integer_array(values, error: type[Exception], what: str) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
+def check_integer(value, minimum: int, error: type[Exception], what: str) -> None:
+    """``error`` unless ``value`` is an int or numpy integer, not a ``bool``,
+    and at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise error(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
 def _check_layout(layout) -> None:
     if not isinstance(layout, VideoLayout):
         raise SequenceError(f"layout must be a VideoLayout, got {layout!r}")
@@ -38,9 +45,8 @@ class VideoLayout:
     cols: int
 
     def __post_init__(self):
-        for dim in (self.frames, self.rows, self.cols):
-            if not isinstance(dim, (int, np.integer)) or dim < 1:
-                raise SequenceError(f"layout dimensions must be integers >= 1, got {self}")
+        for name in ("frames", "rows", "cols"):
+            check_integer(getattr(self, name), 1, SequenceError, f"layout {name}")
 
     @property
     def frame_size(self) -> int:

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from vidspec.model import (
     ModelConfig,
     init_model,
     load_checkpoint,
+    param_shapes,
     save_checkpoint,
 )
 from vidspec.sequence import MultimodalSequence, VideoLayout
@@ -256,14 +258,21 @@ NON_INTEGER_INPUT = {
     "seed_negative": (ConfigError, lambda m: small_config(seed=-1)),
     "seed_fraction": (ConfigError, lambda m: small_config(seed=1.5)),
     "seed_string": (ConfigError, lambda m: small_config(seed="x")),
+    "seed_bool": (ConfigError, lambda m: small_config(seed=False)),
+    "config_bools": (
+        ConfigError,
+        lambda m: ModelConfig(n_layers=True, n_heads=1, d_model=True, vocab_size=2, seed=False),
+    ),
+    "layout_bool": (SequenceError, lambda m: VideoLayout(True, 2, 2)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NON_INTEGER_INPUT))
 def test_malformed_input_raises_typed_error(name):
     """Non-integer positions, tokens, indices and layout sizes, 1-D video
-    embeddings, a missing layout (also in ``MultimodalSequence.full``) and a
-    seed that is not a non-negative integer raise the package's own errors."""
+    embeddings, a missing layout (also in ``MultimodalSequence.full``), a
+    seed that is not a non-negative integer and a ``bool`` where a size or
+    seed is due raise the package's own errors."""
     error, call = NON_INTEGER_INPUT[name]
     with pytest.raises(error):
         call(init_model(small_config()))
@@ -417,6 +426,23 @@ class TestForwardTree:
                 out.cache, np.array([1, 2, 3]), np.array([80, 80, 81]), mask
             )
 
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            np.array(True),
+            np.ones((2, 3), dtype=bool),
+            np.array([[1, 0], [1, 0]], dtype=bool),
+            np.ones((2, 2), dtype=bool),
+        ],
+        ids=["scalar", "non_square", "no_diagonal", "descendant"],
+    )
+    def test_malformed_mask_rejected(self, mask):
+        model = init_model(small_config())
+        out = model.prefill(random_prompt(model.config))
+        with pytest.raises(MaskError):
+            model.forward_tree(out.cache, [1, 2], [80, 81], mask)
+        assert out.cache.length == 80
+
     def test_wrong_depth_positions_rejected(self):
         model = init_model(small_config())
         out = model.prefill(random_prompt(model.config))
@@ -537,16 +563,41 @@ class TestRollback:
         with pytest.raises(RollbackError):
             out.cache.rollback(out.cache.length + 1)
 
+    @pytest.mark.parametrize(
+        "keep",
+        [2.7, [0.5, 1.9], "a", True, -1, [[0, 1]], [0, 0], [1, 0], [0, 12]],
+        ids=[
+            "count_fraction",
+            "subset_fractions",
+            "string",
+            "bool",
+            "count_negative",
+            "subset_2d",
+            "subset_repeated",
+            "subset_decreasing",
+            "subset_beyond_length",
+        ],
+    )
+    def test_malformed_keep_rejected(self, keep):
+        """A count or subset that is not integers, or names no live slots in
+        order, raises ``RollbackError`` and leaves the cache as it was."""
+        cache = KvCache(1, 1, 2, capacity=16)
+        cache.pos[:12] = np.arange(12)
+        cache.length = 12
+        with pytest.raises(RollbackError):
+            cache.rollback(keep)
+        assert cache.length == 12
+        assert np.array_equal(cache.pos[:12], np.arange(12))
 
-def edit_first_tensor(header, **fields):
-    first = {**header["tensors"][0], **fields}
-    return {**header, "tensors": [first] + header["tensors"][1:]}
 
-
-def duplicate_entry(header):
-    """A second ``layers.0.wq`` entry, pointing at ``layers.0.wk``'s data."""
-    entries = {e["name"]: e for e in header["tensors"]}
-    return {**entries["layers.0.wq"], "offset": entries["layers.0.wk"]["offset"]}
+def version_1_tensors(config):
+    """The per-tensor index a version-1 header carried after its config."""
+    shapes = param_shapes(config)
+    entries, offset = [], 0
+    for name in sorted(shapes):
+        entries.append({"name": name, "shape": list(shapes[name]), "dtype": "float32", "offset": offset})
+        offset += 4 * int(np.prod(shapes[name]))
+    return entries
 
 
 class TestCheckpoint:
@@ -564,9 +615,9 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         with open(path, "rb") as fh:
-            assert fh.readline().startswith(b"VIDSPEC-CKPT")
-            header = fh.readline().decode("ascii")
-        assert '"tensors"' in header and '"config"' in header
+            assert fh.readline() == b"VIDSPEC-CKPT 2\n"
+            header = json.loads(fh.readline().decode("ascii"))
+        assert header == {"config": asdict(model.config)}
 
     def test_loaded_model_reproduces_logits(self, tmp_path):
         model = init_model(small_config())
@@ -584,6 +635,26 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             load_checkpoint(path)
 
+    def test_overlong_file_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(small_config(n_layers=1)), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ConfigError):
+            load_checkpoint(path)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        """A file in the earlier format: same data, but a version-1 magic
+        line and a header that also lists every tensor."""
+        path = tmp_path / "model.ckpt"
+        model = init_model(small_config(n_layers=1))
+        save_checkpoint(model, path)
+        _magic, _header, data = path.read_bytes().split(b"\n", 2)
+        header = {"config": asdict(model.config), "tensors": version_1_tensors(model.config)}
+        header = json.dumps(header, separators=(",", ":")).encode("ascii")
+        path.write_bytes(b"VIDSPEC-CKPT 1\n" + header + b"\n" + data)
+        with pytest.raises(ConfigError):
+            load_checkpoint(path)
+
     def test_bad_json_header_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_model(small_config(n_layers=1)), path)
@@ -596,29 +667,24 @@ class TestCheckpoint:
         "edit",
         [
             lambda header: {},
-            lambda header: {"config": {"n_layers": 1}, "tensors": header["tensors"]},
+            lambda header: {"config": {"n_layers": 1}},
             lambda header: [header],
-            lambda header: {**header, "tensors": [{"name": "embed", "shape": [1], "offset": 0}]},
-            lambda header: edit_first_tensor(header, offset="0"),
-            lambda header: edit_first_tensor(header, shape=["a"]),
-            lambda header: edit_first_tensor(header, shape=[-2, -4]),
             lambda header: {**header, "config": {**header["config"], "n_layers": 1.5}},
             lambda header: {**header, "config": {**header["config"], "rope_theta": "1e4"}},
             lambda header: {**header, "config": {**header["config"], "seed": "abc"}},
-            lambda header: {**header, "tensors": header["tensors"] + [duplicate_entry(header)]},
+            lambda header: {
+                **header,
+                "tensors": version_1_tensors(ModelConfig(**header["config"])),
+            },
         ],
         ids=[
             "empty",
             "partial_config",
             "list",
-            "tensor_without_dtype",
-            "offset_string",
-            "shape_not_integer",
-            "shape_negative",
             "n_layers_fraction",
             "rope_theta_string",
             "seed_string",
-            "duplicate_tensor",
+            "tensors_key",
         ],
     )
     def test_malformed_header_rejected(self, tmp_path, edit):

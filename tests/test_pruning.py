@@ -251,13 +251,18 @@ MALFORMED_INPUT = {
     "random_seed_negative": lambda layout: plan_random(layout, 0.5, -1),
     "random_seed_fraction": lambda layout: plan_random(layout, 0.5, 1.5),
     "random_seed_string": lambda layout: plan_random(layout, 0.5, "x"),
+    "random_seed_bool": lambda layout: plan_random(layout, 0.5, True),
+    "budget_ratio_string": lambda layout: retention_budget(layout.total, "x"),
+    "top_p_lambda_string": lambda layout: stage1_top_p([1, 1, 1], "x"),
+    "uniform_fill_fraction": lambda layout: stage2_uniform(layout, [0.7, 2.9], 0.5),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_INPUT))
 def test_non_finite_input_rejected(name):
-    """Non-finite scores or embeddings, and a random plan's seed that is not
-    a non-negative integer, raise ``PlanError``."""
+    """Non-finite scores or embeddings, a random plan's seed that is not a
+    non-negative integer (a ``bool`` included), a ratio that is not a
+    number and a guided set that is not integers raise ``PlanError``."""
     with pytest.raises(PlanError):
         MALFORMED_INPUT[name](VideoLayout(2, 1, 2))
 
