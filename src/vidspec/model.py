@@ -13,6 +13,11 @@ one bitwise. `forward_block` and `forward_tree` run the core and then the head
 (`final_norm`, then `head`); `prefill` runs the core chunk by chunk and the
 head on the final chunk's rows only.
 
+Rotary encoding rotates each adjacent pair ``(2i, 2i+1)`` of a head's q and k
+dimensions by ``position * theta**(-2i / d_head)`` (RoFormer's pairing): the
+pairs are read as complex numbers and rotated by one in-place complex
+multiply, with ``1/sqrt(d_head)`` folded into q's rotation.
+
 The core runs attention over tiles of 64 block rows, all heads at once, and
 does only the work whose result it keeps; each step below changes the result
 only by rounding:
@@ -21,17 +26,21 @@ only by rounding:
   of a tile ``[a, b)`` attends a column past ``L0 + b`` (``L0`` live cache
   slots before the block): those columns are never computed. No
   ``(heads, n, L0 + n)`` score array is ever allocated.
-- ``1/sqrt(d_head)`` is folded into q once per layer.
 - A causal tile sees every column before ``L0 + a``, so only its diagonal
   square is masked; a tree tile masks all of its block columns.
-- The softmax is normalised after ``scores @ V``: the tile's scores become
-  ``exp(s - max)`` in place, and the ``(heads, rows, d_head)`` context is
-  divided by their row sums.
+- The tile's scores become ``exp(s)`` in place, with no row-maximum shift.
+  The tile is kept when every softmax row sum ``z`` lies in
+  ``[1e-250, 1e250]``; otherwise (an overflow, a row that underflowed, or a
+  NaN) its scores are computed again and exponentiated as ``exp(s - max)``.
+- The softmax is normalised after ``scores @ V``: the ``(heads, rows,
+  d_head)`` context is divided by the row sums ``z``.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -48,7 +57,9 @@ from .sequence import MultimodalSequence, check_integer, integer_array
 _RMS_EPS = 1e-6
 _PREFILL_CHUNK = 512
 _ROW_TILE = 64  # block rows per attention tile
-_CKPT_MAGIC = "VIDSPEC-CKPT 2"
+_CKPT_MAGIC = "VIDSPEC-CKPT 3"
+# An unshifted tile is kept when every softmax row sum lies in [_Z_MIN, _Z_MAX].
+_Z_MIN, _Z_MAX = 1e-250, 1e250
 
 
 @dataclass(frozen=True)
@@ -109,7 +120,7 @@ class KvCache:
     """
 
     def __init__(self, n_layers: int, n_heads: int, d_head: int, capacity: int = 64):
-        capacity = max(int(capacity), 1)
+        check_integer(capacity, 1, ConfigError, "capacity")
         self.k = np.zeros((n_layers, capacity, n_heads, d_head))
         self.v = np.zeros((n_layers, capacity, n_heads, d_head))
         self.pos = np.full(capacity, -1, dtype=np.int64)
@@ -210,19 +221,14 @@ def _rms_norm(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return out
 
 
-def rope_angles(positions: np.ndarray, d_head: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
+def rope(positions: np.ndarray, d_head: int, theta: float) -> np.ndarray:
+    """(n, 1, d_head // 2) complex rotations ``exp(1j * p * theta**(-2i / d_head))``.
+
+    Multiplying the complex view of (n, heads, d_head) float vectors by them
+    rotates each adjacent pair ``(2i, 2i+1)`` at its row's position ``p``.
+    """
     inv_freq = theta ** (-np.arange(0, d_head, 2, dtype=np.float64) / d_head)
-    ang = positions[:, None].astype(np.float64) * inv_freq[None, :]
-    return np.cos(ang), np.sin(ang)
-
-
-def apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotate (n, heads, d_head) vectors by per-row angles; half-split pairing."""
-    half = x.shape[-1] // 2
-    x1, x2 = x[..., :half], x[..., half:]
-    c = cos[:, None, :]
-    s = sin[:, None, :]
-    return np.concatenate([x1 * c - x2 * s, x1 * s + x2 * c], axis=-1)
+    return np.exp(1j * np.multiply.outer(positions.astype(np.float64), inv_freq))[:, None, :]
 
 
 class Model:
@@ -239,7 +245,6 @@ class Model:
                 raise ConfigError(f"{name}: expected shape {shape}, got {params[name].shape}")
         self.config = config
         self.params = params
-        self._inv_sqrt_dh = 1.0 / np.sqrt(config.d_head)
 
     # -- construction -----------------------------------------------------
 
@@ -290,8 +295,10 @@ class Model:
         the core, attention runs in tiles of ``_ROW_TILE`` block rows; tile
         ``[a, b)`` scores only the ``L0 + b`` columns its rows can see (``L0``
         slots were live before the block). The core folds ``1/sqrt(d_head)``
-        into q, masks only the diagonal square of a causal tile and
-        normalises the softmax after ``scores @ V`` (see ``_hidden``).
+        into q's rotation, masks only the diagonal square of a causal tile,
+        takes ``exp`` of the scores without a row-maximum shift unless a row
+        sum leaves ``[1e-250, 1e250]``, and normalises the softmax after
+        ``scores @ V`` (see ``_hidden``).
 
         Returns (n, vocab) logits, one row per block item.
         """
@@ -341,8 +348,10 @@ class Model:
         A causal tile ``[r0, r1)`` masks only its diagonal square, columns
         ``L0 + r0`` to ``L0 + r1``; a tree tile masks all of its block
         columns, since a tree row may not see an earlier block item. The
-        tile's context is divided by the softmax row sums ``z`` after
-        ``scores @ V``.
+        tile's scores become ``exp(s)``; if a row sum ``z`` then lies outside
+        ``[_Z_MIN, _Z_MAX]`` (or is NaN), the tile is scored again and
+        exponentiated as ``exp(s - max)``, whose row sums are at least 1. The
+        tile's context is divided by ``z`` after ``scores @ V``.
 
         ``capture = (acc, n_video)`` is prefill's guidance accumulator: for
         every block item at cache slot ``>= n_video`` (a language item) and
@@ -371,30 +380,37 @@ class Model:
             acc, n_video = capture
             first = max(n_video - L0, 0)
 
-        cos, sin = rope_angles(positions, c.d_head, c.rope_theta)
+        rot_k = rope(positions, c.d_head, c.rope_theta)
+        rot_q = rot_k / np.sqrt(c.d_head)  # folds the score scale into q
         p = self.params
         ctx = np.empty((c.n_heads, n, c.d_head))
         for layer in range(c.n_layers):
             pre = f"layers.{layer}."
             x = _rms_norm(h, p[pre + "attn_norm"])
-            q = apply_rope((x @ p[pre + "wq"]).reshape(n, c.n_heads, c.d_head), cos, sin)
-            q *= self._inv_sqrt_dh
-            k = apply_rope((x @ p[pre + "wk"]).reshape(n, c.n_heads, c.d_head), cos, sin)
+            q = (x @ p[pre + "wq"]).view(np.complex128).reshape(n, c.n_heads, -1)
+            q *= rot_q
+            k = (x @ p[pre + "wk"]).view(np.complex128).reshape(n, c.n_heads, -1)
+            k *= rot_k
             v = (x @ p[pre + "wv"]).reshape(n, c.n_heads, c.d_head)
-            cache.k[layer, L0:m] = k
+            cache.k[layer, L0:m] = k.view(np.float64)
             cache.v[layer, L0:m] = v
-            q = q.transpose(1, 0, 2)
+            q = q.view(np.float64).transpose(1, 0, 2)
             keys = cache.k[layer, :m].transpose(1, 2, 0)
             vals = cache.v[layer, :m].transpose(1, 0, 2)
             for r0 in range(0, n, _ROW_TILE):
                 r1 = min(r0 + _ROW_TILE, n)
-                # columns past L0 + r1 are hidden from every row of the tile
-                scores = np.matmul(q[:, r0:r1], keys[:, :, : L0 + r1])
                 c0 = r0 if causal else 0  # block columns before c0 need no mask
-                np.copyto(scores[:, :, L0 + c0 :], -np.inf, where=blocked[None, r0:r1, c0:r1])
-                scores -= scores.max(axis=-1, keepdims=True)
-                np.exp(scores, out=scores)
-                z = scores.sum(axis=-1, keepdims=True)  # >= 1: the row maximum gives exp(0)
+                for shift in (False, True):
+                    # columns past L0 + r1 are hidden from every row of the tile
+                    scores = np.matmul(q[:, r0:r1], keys[:, :, : L0 + r1])
+                    np.copyto(scores[:, :, L0 + c0 :], -np.inf, where=blocked[None, r0:r1, c0:r1])
+                    if shift:  # then z >= 1: the row maximum gives exp(0)
+                        scores -= scores.max(axis=-1, keepdims=True)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        np.exp(scores, out=scores)
+                        z = scores.sum(axis=-1, keepdims=True)
+                    if z.min() >= _Z_MIN and z.max() <= _Z_MAX:  # False for a NaN too
+                        break
                 tile_ctx = ctx[:, r0:r1]
                 np.matmul(scores, vals[:, : L0 + r1], out=tile_ctx)
                 tile_ctx /= z
@@ -555,8 +571,9 @@ def load_checkpoint(path) -> Model:
     follow in sorted name order with the shapes ``param_shapes(config)``
     gives. Each is read straight into its own float32 array and widened
     into its float64 weight, so at most one float32 tensor is alive at a
-    time. A file of another version, a malformed header, and data that is
-    cut short or runs past the last tensor raise ``ConfigError``.
+    time. A file of another version, a malformed header, a data section
+    whose length is not the config's, checked before any weight is
+    allocated, and a tensor holding NaN or inf raise ``ConfigError``.
     """
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
@@ -573,18 +590,25 @@ def load_checkpoint(path) -> Model:
             config = ModelConfig(**header["config"])
         except TypeError as exc:  # a missing, unknown or non-mapping field
             raise ConfigError(f"malformed checkpoint config: {exc}") from exc
+        shapes = param_shapes(config)
+        expected = 4 * sum(math.prod(shape) for shape in shapes.values())
+        got = os.fstat(fh.fileno()).st_size - fh.tell()
+        if got != expected:
+            raise ConfigError(f"data section holds {got} bytes, the config needs {expected}")
         # Every float64 weight is allocated before any data is read, so the
         # float32 reads never lie between them. With each weight allocated
         # after its read, a freed model left holes that later arrays fit
         # badly, and peak RSS varied with the heap's layout.
-        weights = {name: np.empty(shape) for name, shape in param_shapes(config).items()}
+        weights = {name: np.empty(shape) for name, shape in shapes.items()}
         raw = fh.raw  # unbuffered from here on: each tensor is read into its own array
         raw.seek(fh.tell())
         for name in sorted(weights):
             arr = np.empty(weights[name].shape, dtype="<f4")
             if raw.readinto(arr) != arr.nbytes:
-                raise ConfigError(f"{name}: tensor data cut short (truncated file?)")
+                raise ConfigError(f"{name}: tensor data cut short")
             weights[name][...] = arr
-        if raw.read(1):
-            raise ConfigError("data runs past the last tensor")
+            # finite float32 values cannot overflow a float64 sum, so the sum
+            # is finite exactly when every entry is (and allocates nothing)
+            if not np.isfinite(weights[name].sum()):
+                raise ConfigError(f"{name}: tensor holds NaN or inf")
     return Model(config, weights)

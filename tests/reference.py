@@ -16,13 +16,18 @@ def _rms(x, weight):
     return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS) * weight
 
 
-def _rope(x, positions, theta):
+def reference_rope(x, positions, theta):
+    """Rotate each adjacent pair (2i, 2i+1) of the last axis by
+    ``position * theta**(-2i / d_head)``, in real arithmetic."""
     d_head = x.shape[-1]
     inv_freq = theta ** (-np.arange(0, d_head, 2, dtype=np.float64) / d_head)
     ang = positions[:, None].astype(np.float64) * inv_freq[None, :]
     cos, sin = np.cos(ang)[:, None, :], np.sin(ang)[:, None, :]
-    x1, x2 = x[..., : d_head // 2], x[..., d_head // 2 :]
-    return np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+    even, odd = x[..., 0::2], x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out
 
 
 def reference_forward(model, seq):
@@ -31,6 +36,17 @@ def reference_forward(model, seq):
     Returns ``(logits, probs)``: logits ``(N, vocab)`` for every item and the
     post-softmax attention ``probs[l, h, i, j]`` of item i on item j.
     """
+    logits, probs, _ = _forward(model, seq)
+    return logits, probs
+
+
+def reference_row_max(model, seq):
+    """``(n_layers, n_heads, N)``: each attention row's largest scaled score
+    over the columns it sees, before the softmax shifts it out."""
+    return _forward(model, seq)[2]
+
+
+def _forward(model, seq):
     c, p = model.config, model.params
     parts = [seq.video_embeds] if seq.n_video else []
     parts.append(p["embed"][seq.language_tokens])
@@ -39,22 +55,26 @@ def reference_forward(model, seq):
     positions = seq.positions
     causal = np.tril(np.ones((n, n), dtype=bool))
     probs = np.zeros((c.n_layers, c.n_heads, n, n))
+    row_max = np.zeros((c.n_layers, c.n_heads, n))
     for layer in range(c.n_layers):
         pre = f"layers.{layer}."
         x = _rms(h, p[pre + "attn_norm"])
-        q = _rope((x @ p[pre + "wq"]).reshape(n, c.n_heads, c.d_head), positions, c.rope_theta)
-        k = _rope((x @ p[pre + "wk"]).reshape(n, c.n_heads, c.d_head), positions, c.rope_theta)
+        q = (x @ p[pre + "wq"]).reshape(n, c.n_heads, c.d_head)
+        q = reference_rope(q, positions, c.rope_theta)
+        k = (x @ p[pre + "wk"]).reshape(n, c.n_heads, c.d_head)
+        k = reference_rope(k, positions, c.rope_theta)
         v = (x @ p[pre + "wv"]).reshape(n, c.n_heads, c.d_head)
         scores = np.einsum("ihd,jhd->hij", q, k) / np.sqrt(c.d_head)
         scores = np.where(causal, scores, -np.inf)
-        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        row_max[layer] = scores.max(axis=-1)
+        weights = np.exp(scores - row_max[layer][..., None])
         probs[layer] = weights / weights.sum(axis=-1, keepdims=True)
         ctx = np.einsum("hij,jhd->ihd", probs[layer], v).reshape(n, c.d_model)
         h = h + ctx @ p[pre + "wo"]
         x = _rms(h, p[pre + "mlp_norm"])
         a = x @ p[pre + "w1"]
         h = h + (a / (1.0 + np.exp(-a))) @ p[pre + "w2"]
-    return _rms(h, p["final_norm"]) @ p["head"], probs
+    return _rms(h, p["final_norm"]) @ p["head"], probs, row_max
 
 
 def reference_guidance(model, seq):

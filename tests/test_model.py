@@ -21,11 +21,17 @@ from vidspec.model import (
     init_model,
     load_checkpoint,
     param_shapes,
+    rope,
     save_checkpoint,
 )
 from vidspec.sequence import MultimodalSequence, VideoLayout
 
-from reference import reference_forward, reference_guidance
+from reference import (
+    reference_forward,
+    reference_guidance,
+    reference_rope,
+    reference_row_max,
+)
 
 
 def small_config(**overrides):
@@ -331,6 +337,78 @@ class TestTiledAttention:
         assert self.prefill_peak(capture=True) < 8 * 512 * 512 * 8
 
 
+def scaled_qk(model, scale):
+    """``model`` with every layer's ``(wq, wk)`` replaced by ``scale(wq, wk)``."""
+    params = dict(model.params)
+    for layer in range(model.config.n_layers):
+        pre = f"layers.{layer}."
+        params[pre + "wq"], params[pre + "wk"] = scale(params[pre + "wq"], params[pre + "wk"])
+    return Model(model.config, params)
+
+
+class TestUnshiftedSoftmax:
+    """A tile whose unshifted ``exp`` overflows or underflows is computed
+    again with the row maximum shifted out; warnings are errors here, so a
+    tile kept with an inf or a zero row sum would fail with NaN or raise."""
+
+    @staticmethod
+    def check_block(model, seq):
+        logits = model.forward_block(model.new_cache(), model.embed_sequence(seq), seq.positions)
+        expected, _ = reference_forward(model, seq)
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12 * scale)
+
+    def test_overflow_falls_back(self):
+        """wq and wk scaled by 300: scores reach the thousands, so ``exp``
+        overflows; the 130-row block spans three tiles."""
+        model = scaled_qk(init_model(small_config()), lambda wq, wk: (300 * wq, 300 * wk))
+        seq = random_prompt(model.config, VideoLayout(2, 4, 4), n_language=98, seed=4)
+        assert len(seq) == 130
+        assert reference_row_max(model, seq).max() > 710  # exp(710) overflows
+        self.check_block(model, seq)
+
+    def test_underflow_falls_back(self):
+        """wk = -1e7 wq and eight items with one embedding: every score is
+        a large negative multiple of a positive dot product, so every row
+        sum of the unshifted ``exp`` underflows to zero."""
+        model = scaled_qk(init_model(small_config()), lambda wq, wk: (wq, -1e7 * wq))
+        row = model.params["embed"][5]
+        seq = MultimodalSequence.full(VideoLayout(1, 2, 2), np.tile(row, (4, 1)), [5, 5, 5, 5])
+        assert reference_row_max(model, seq).max() < -746  # exp(-746) is 0.0
+        self.check_block(model, seq)
+
+
+def rotate(x, positions, theta=10000.0):
+    """``x`` (n, heads, d_head) rotated as the model's core rotates k."""
+    out = x.copy()
+    out.view(np.complex128)[...] *= rope(positions, x.shape[-1], theta)
+    return out
+
+
+class TestRope:
+    @pytest.mark.parametrize("rotation", [rotate, reference_rope], ids=["model", "reference"])
+    @pytest.mark.parametrize("pos", [0, 1, 5, 300])
+    def test_first_pair_rotates_by_position(self, rotation, pos):
+        """A unit vector in dims (0, 1) turns by ``pos * theta**0`` radians
+        within its own pair; every other dim stays zero."""
+        x = np.zeros((1, 2, 16))
+        x[:, :, 0] = 1.0
+        out = rotation(x, np.array([pos]), 10000.0)
+        expected = np.zeros_like(x)
+        expected[:, :, 0], expected[:, :, 1] = np.cos(pos), np.sin(pos)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
+
+    def test_score_depends_on_offset_only(self):
+        """q . k is unchanged when both positions move by the same shift."""
+        rng = np.random.default_rng(1)
+        q, k = rng.normal(size=(2, 1, 1, 32))
+        dots = [
+            np.vdot(rotate(q, np.array([p])), rotate(k, np.array([p - 5])))
+            for p in (5, 6, 100, 3000)
+        ]
+        np.testing.assert_allclose(dots, dots[0], rtol=1e-12)
+
+
 class TestDecode:
     def test_decode_extends_cache(self):
         model = init_model(small_config())
@@ -557,6 +635,11 @@ class TestRollback:
         assert np.array_equal(cache.k, k) and np.array_equal(cache.v, v)
         assert cache.pos[3] == 9
 
+    @pytest.mark.parametrize("capacity", ["x", None, 2.7, -5, 0, True])
+    def test_malformed_capacity_rejected(self, capacity):
+        with pytest.raises(ConfigError):
+            KvCache(1, 1, 2, capacity=capacity)
+
     def test_keep_beyond_length_rejected(self):
         model = init_model(small_config())
         out = model.prefill(random_prompt(model.config))
@@ -615,7 +698,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         with open(path, "rb") as fh:
-            assert fh.readline() == b"VIDSPEC-CKPT 2\n"
+            assert fh.readline() == b"VIDSPEC-CKPT 3\n"
             header = json.loads(fh.readline().decode("ascii"))
         assert header == {"config": asdict(model.config)}
 
@@ -655,6 +738,25 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             load_checkpoint(path)
 
+    def test_version_2_file_rejected(self, tmp_path):
+        """A file in the format before adjacent-pair rotary encoding: the
+        same header and data, whose wq and wk columns pair up differently."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(small_config(n_layers=1)), path)
+        _magic, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(b"VIDSPEC-CKPT 2\n" + rest)
+        with pytest.raises(ConfigError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, bad):
+        model = init_model(small_config(n_layers=1))
+        model.params["layers.0.wk"][3, 4] = bad
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(ConfigError):
+            load_checkpoint(path)
+
     def test_bad_json_header_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_model(small_config(n_layers=1)), path)
@@ -676,6 +778,7 @@ class TestCheckpoint:
                 **header,
                 "tensors": version_1_tensors(ModelConfig(**header["config"])),
             },
+            lambda header: {**header, "config": {**header["config"], "vocab_size": 10**12}},
         ],
         ids=[
             "empty",
@@ -685,6 +788,7 @@ class TestCheckpoint:
             "rope_theta_string",
             "seed_string",
             "tensors_key",
+            "vocab_beyond_data",
         ],
     )
     def test_malformed_header_rejected(self, tmp_path, edit):
