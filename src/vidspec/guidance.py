@@ -64,8 +64,7 @@ class CumulativeProfile:
 
 def descending_order(values: np.ndarray) -> np.ndarray:
     """Indices sorting values descending; ties broken by ascending index."""
-    values = np.asarray(values)
-    return np.lexsort((np.arange(values.shape[0]), -values))
+    return np.argsort(-np.asarray(values), kind="stable")
 
 
 def extract_guidance(capture: np.ndarray, seq: MultimodalSequence) -> GuidanceMatrix:

@@ -39,7 +39,6 @@ only by rounding:
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -58,6 +57,8 @@ _RMS_EPS = 1e-6
 _PREFILL_CHUNK = 512
 _ROW_TILE = 64  # block rows per attention tile
 _CKPT_MAGIC = "VIDSPEC-CKPT 3"
+_ROPE_THETA = 10000.0
+MAX_POSITIONS = 4096  # every position lies in [0, MAX_POSITIONS)
 # An unshifted tile is kept when every softmax row sum lies in [_Z_MIN, _Z_MAX].
 _Z_MIN, _Z_MAX = 1e-250, 1e250
 
@@ -68,20 +69,15 @@ class ModelConfig:
     n_heads: int
     d_model: int
     vocab_size: int
-    rope_theta: float = 10000.0
-    max_positions: int = 4096
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_layers", "n_heads", "d_model", "vocab_size", "max_positions"):
+        for name in ("n_layers", "n_heads", "d_model", "vocab_size"):
             check_integer(getattr(self, name), 1, ConfigError, name)
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
-        theta = self.rope_theta
-        if not isinstance(theta, (int, float, np.integer, np.floating)) or not theta > 0:
-            raise ConfigError(f"rope_theta must be a positive number, got {theta!r}")
         check_integer(self.seed, 0, ConfigError, "seed")
 
     @property
@@ -137,20 +133,27 @@ class KvCache:
             return -1
         return int(self.pos[: self.length].max())
 
+    def _resized(self, capacity: int) -> "KvCache":
+        """A new cache of ``capacity`` slots holding a copy of the live slots.
+        The dead slots are fresh zeros (a lazily zeroed allocation) tagged -1,
+        not a copy."""
+        n_layers, _, n_heads, d_head = self.k.shape
+        other = KvCache(n_layers, n_heads, d_head, capacity)
+        n = self.length
+        other.k[:, :n] = self.k[:, :n]
+        other.v[:, :n] = self.v[:, :n]
+        other.pos[:n] = self.pos[:n]
+        other.length = n
+        return other
+
     def ensure_capacity(self, needed: int) -> None:
         if needed <= self.capacity:
             return
         new_cap = self.capacity
         while new_cap < needed:
             new_cap *= 2
-        for name in ("k", "v"):
-            old = getattr(self, name)
-            grown = np.zeros((old.shape[0], new_cap) + old.shape[2:])
-            grown[:, : self.length] = old[:, : self.length]
-            setattr(self, name, grown)
-        pos = np.full(new_cap, -1, dtype=np.int64)
-        pos[: self.length] = self.pos[: self.length]
-        self.pos = pos
+        grown = self._resized(new_cap)
+        self.k, self.v, self.pos = grown.k, grown.v, grown.pos
 
     def rollback(self, keep) -> None:
         """Keep a prefix (an integer count) or an ordered slot subset (an
@@ -184,18 +187,8 @@ class KvCache:
         self.length = m
 
     def clone(self) -> "KvCache":
-        """A copy of the live slots, at the same capacity. The dead slots are
-        fresh zeros (a lazily zeroed allocation) rather than a copy."""
-        n = self.length
-        other = KvCache.__new__(KvCache)
-        other.k = np.zeros(self.k.shape)
-        other.v = np.zeros(self.v.shape)
-        other.k[:, :n] = self.k[:, :n]
-        other.v[:, :n] = self.v[:, :n]
-        other.pos = np.full(self.capacity, -1, dtype=np.int64)
-        other.pos[:n] = self.pos[:n]
-        other.length = n
-        return other
+        """A copy of the live slots, at the same capacity."""
+        return self._resized(self.capacity)
 
 
 @dataclass
@@ -307,7 +300,7 @@ class Model:
 
     def _block_input(self, cache: KvCache, items, positions) -> tuple[np.ndarray, np.ndarray]:
         """A block's embeddings and int64 positions, one position per item,
-        each inside ``max_positions`` and beyond every cached position."""
+        each below ``MAX_POSITIONS`` and beyond every cached position."""
         emb = self.embed_items(items)
         positions = integer_array(positions, PositionError, "positions").reshape(-1)
         if positions.shape[0] != emb.shape[0]:
@@ -316,9 +309,9 @@ class Model:
         return emb, positions
 
     def _check_positions(self, cache: KvCache, positions: np.ndarray) -> None:
-        if positions.size and (positions.min() < 0 or positions.max() >= self.config.max_positions):
+        if positions.size and (positions.min() < 0 or positions.max() >= MAX_POSITIONS):
             raise PositionError(
-                f"positions must lie in [0, {self.config.max_positions}), got "
+                f"positions must lie in [0, {MAX_POSITIONS}), got "
                 f"[{positions.min()}, {positions.max()}]"
             )
         if positions.size and positions.min() <= cache.max_position:
@@ -380,7 +373,7 @@ class Model:
             acc, n_video = capture
             first = max(n_video - L0, 0)
 
-        rot_k = rope(positions, c.d_head, c.rope_theta)
+        rot_k = rope(positions, c.d_head, _ROPE_THETA)
         rot_q = rot_k / np.sqrt(c.d_head)  # folds the score scale into q
         p = self.params
         ctx = np.empty((c.n_heads, n, c.d_head))
@@ -469,12 +462,10 @@ class Model:
     def decode_step(self, cache: KvCache, item, position: int) -> np.ndarray:
         """Append one item and return its (vocab,) logits.
 
-        The position must be strictly beyond every position already cached.
+        The position must be strictly beyond every position already cached;
+        more than one item raises ``PositionError`` (one position given).
         """
-        emb = self.embed_items(item)
-        if emb.shape[0] != 1:
-            raise SequenceError("decode_step takes exactly one item")
-        return self.forward_block(cache, emb, np.array([position]))[0]
+        return self.forward_block(cache, item, [position])[0]
 
     def forward_tree(
         self,
@@ -491,35 +482,39 @@ class Model:
         all nodes; the caller rolls back the non-accepted ones.
         """
         tree_mask = np.asarray(tree_mask, dtype=bool)
-        if tree_mask.ndim != 2 or tree_mask.shape[0] != tree_mask.shape[1]:
-            raise MaskError(f"tree mask must be square, got shape {tree_mask.shape}")
-        n = tree_mask.shape[0]
-        if not np.all(np.diagonal(tree_mask)):
-            raise MaskError("tree mask must admit self-attention")
-        if np.any(np.triu(tree_mask, k=1)):
-            raise MaskError("tree mask admits a descendant (parents must precede children)")
-        depths = np.zeros(n, dtype=np.int64)
-        ancestors: list[frozenset[int]] = []
-        for i in range(n):
-            anc = frozenset(np.flatnonzero(tree_mask[i, :i]).tolist())
-            if anc:
-                parent = max(anc)
-                if anc != ancestors[parent] | {parent}:
-                    raise MaskError(
-                        f"node {i} attends to a non-ancestor (rows must be ancestor-closed)"
-                    )
-                depths[i] = depths[parent] + 1
-            ancestors.append(anc)
+        depths = _tree_depths(tree_mask)
         emb, positions = self._block_input(cache, items, positions)
-        if positions.shape[0] != n:
+        if positions.shape[0] != depths.size:
             raise PositionError("one position per tree node required")
-        base = cache.max_position + 1
-        expected = base + depths
+        expected = cache.max_position + 1 + depths
         if not np.array_equal(positions, expected):
             raise PositionError(
                 f"tree positions must equal next-position + depth; expected {expected.tolist()}"
             )
         return self._logits(self._hidden(cache, emb, positions, tree_mask))
+
+
+def _tree_depths(mask: np.ndarray) -> np.ndarray:
+    """Each node's depth in the tree that the boolean ``mask`` encodes.
+
+    ``mask[i, j]`` admits node j to node i. A tree mask is square, admits
+    every node to itself and no later node, and is ancestor-closed: a node's
+    parent is its last admitted column before the diagonal, and the node
+    admits exactly its parent's whole row. A node's depth is then the count
+    of its admitted earlier nodes. Any other mask raises ``MaskError``.
+    """
+    if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
+        raise MaskError(f"tree mask must be square, got shape {mask.shape}")
+    if not np.all(np.diagonal(mask)):
+        raise MaskError("tree mask must admit self-attention")
+    if np.any(np.triu(mask, k=1)):
+        raise MaskError("tree mask admits a descendant (parents must precede children)")
+    below = np.tril(mask, k=-1)
+    parent = np.where(below, np.arange(mask.shape[0]), -1).max(axis=1, initial=-1)
+    # a root (parent -1) admits no earlier node
+    if not np.array_equal(below, mask[parent] & (parent >= 0)[:, None]):
+        raise MaskError("tree mask admits a non-ancestor (rows must be ancestor-closed)")
+    return below.sum(axis=1)
 
 
 def init_model(config: ModelConfig) -> Model:
@@ -590,8 +585,10 @@ def load_checkpoint(path) -> Model:
             config = ModelConfig(**header["config"])
         except TypeError as exc:  # a missing, unknown or non-mapping field
             raise ConfigError(f"malformed checkpoint config: {exc}") from exc
-        shapes = param_shapes(config)
-        expected = 4 * sum(math.prod(shape) for shape in shapes.values())
+        # the float32 sizes of param_shapes(config) in closed form, so that a
+        # header naming a huge model fails here without per-layer work
+        d, v, f = config.d_model, config.vocab_size, config.d_ff
+        expected = 4 * (2 * d * v + d + config.n_layers * (4 * d * d + 2 * d * f + 2 * d))
         got = os.fstat(fh.fileno()).st_size - fh.tell()
         if got != expected:
             raise ConfigError(f"data section holds {got} bytes, the config needs {expected}")
@@ -599,7 +596,7 @@ def load_checkpoint(path) -> Model:
         # float32 reads never lie between them. With each weight allocated
         # after its read, a freed model left holes that later arrays fit
         # badly, and peak RSS varied with the heap's layout.
-        weights = {name: np.empty(shape) for name, shape in shapes.items()}
+        weights = {name: np.empty(shape) for name, shape in param_shapes(config).items()}
         raw = fh.raw  # unbuffered from here on: each tensor is read into its own array
         raw.seek(fh.tell())
         for name in sorted(weights):

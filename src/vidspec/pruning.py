@@ -132,7 +132,8 @@ def plan_two_stage(scores, layout: VideoLayout, r: float, lambda_r: float) -> Pr
     """Guided Top-P retention, then spatially uniform fill, to the exact budget.
 
     If Stage I overflows the budget it is truncated to the highest-scoring
-    tokens (ties by ascending index), recorded on the plan. All-zero scores
+    tokens (ties by ascending index), which is the attention Top-K set and
+    leaves no uniform fill; the plan records the truncation. All-zero scores
     fall back to the pure uniform plan with a logged warning.
     """
     values = _score_values(scores)
@@ -143,14 +144,11 @@ def plan_two_stage(scores, layout: VideoLayout, r: float, lambda_r: float) -> Pr
         logger.warning("degenerate all-zero guidance; falling back to uniform pruning")
         return plan_uniform(layout, r)
     v_r = stage1_top_p(values, lambda_r)
-    truncated = False
     if v_r.size > k_total:
-        order = descending_order(values)
-        keep = order[np.isin(order, v_r)][:k_total]
-        v_r = np.sort(keep)
-        truncated = True
-    v_u = stage2_uniform(layout, v_r, r)
-    return PruningPlan(layout, v_r, v_u, stage1_truncated=truncated)
+        # Stage I kept a descending-score prefix longer than the budget
+        v_r = np.sort(descending_order(values)[:k_total])
+        return PruningPlan(layout, v_r, [], stage1_truncated=True)
+    return PruningPlan(layout, v_r, stage2_uniform(layout, v_r, r))
 
 
 def plan_uniform(layout: VideoLayout, r: float) -> PruningPlan:

@@ -9,7 +9,10 @@ accumulates against the mean of the materialized block.
 
 import numpy as np
 
+from vidspec.errors import MaskError
+
 RMS_EPS = 1e-6  # the model's documented RMSNorm epsilon
+ROPE_THETA = 10000.0  # the model's documented rotary base
 
 
 def _rms(x, weight):
@@ -60,9 +63,9 @@ def _forward(model, seq):
         pre = f"layers.{layer}."
         x = _rms(h, p[pre + "attn_norm"])
         q = (x @ p[pre + "wq"]).reshape(n, c.n_heads, c.d_head)
-        q = reference_rope(q, positions, c.rope_theta)
+        q = reference_rope(q, positions, ROPE_THETA)
         k = (x @ p[pre + "wk"]).reshape(n, c.n_heads, c.d_head)
-        k = reference_rope(k, positions, c.rope_theta)
+        k = reference_rope(k, positions, ROPE_THETA)
         v = (x @ p[pre + "wv"]).reshape(n, c.n_heads, c.d_head)
         scores = np.einsum("ihd,jhd->hij", q, k) / np.sqrt(c.d_head)
         scores = np.where(causal, scores, -np.inf)
@@ -82,3 +85,28 @@ def reference_guidance(model, seq):
     over layers and heads: ``(n_language, n_video)``."""
     _, probs = reference_forward(model, seq)
     return probs[:, :, seq.n_video :, : seq.n_video].mean(axis=(0, 1))
+
+
+def reference_tree_depths(mask):
+    """Each node's depth in the tree a boolean ``mask`` encodes, found node
+    by node from explicit ancestor sets; ``MaskError`` for a mask that is not
+    square, misses a diagonal entry, admits a later node, or admits a node
+    outside the ancestors of the last one it admits."""
+    if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
+        raise MaskError(f"tree mask must be square, got shape {mask.shape}")
+    n = mask.shape[0]
+    if not np.all(np.diagonal(mask)):
+        raise MaskError("tree mask must admit self-attention")
+    if np.any(np.triu(mask, k=1)):
+        raise MaskError("tree mask admits a descendant")
+    depths = np.zeros(n, dtype=np.int64)
+    ancestors = []
+    for i in range(n):
+        anc = frozenset(np.flatnonzero(mask[i, :i]).tolist())
+        if anc:
+            parent = max(anc)
+            if anc != ancestors[parent] | {parent}:
+                raise MaskError(f"node {i} attends to a non-ancestor")
+            depths[i] = depths[parent] + 1
+        ancestors.append(anc)
+    return depths

@@ -15,9 +15,11 @@ from vidspec.errors import (
     SequenceError,
 )
 from vidspec.model import (
+    MAX_POSITIONS,
     KvCache,
     Model,
     ModelConfig,
+    _tree_depths,
     init_model,
     load_checkpoint,
     param_shapes,
@@ -31,13 +33,12 @@ from reference import (
     reference_guidance,
     reference_rope,
     reference_row_max,
+    reference_tree_depths,
 )
 
 
 def small_config(**overrides):
-    base = dict(
-        n_layers=2, n_heads=4, d_model=64, vocab_size=256, max_positions=512, seed=7
-    )
+    base = dict(n_layers=2, n_heads=4, d_model=64, vocab_size=256, seed=7)
     base.update(overrides)
     return ModelConfig(**base)
 
@@ -159,11 +160,17 @@ class TestPrefill:
         assert np.array_equal(cache.pos[: cache.length], expected)
 
     def test_position_overflow_rejected(self):
-        config = small_config(max_positions=40)
-        model = init_model(config)
-        seq = random_prompt(config)  # positions reach 79
+        """Language items follow the whole layout, so after a 4096-cell video
+        pruned to two cells the first one sits at 4096; after 4095 cells it
+        fits."""
+        model = init_model(small_config())
+
+        def pruned(total):
+            return MultimodalSequence(VideoLayout(1, 1, total), np.zeros((2, D)), [0, 1], [3])
+
+        assert model.prefill(pruned(MAX_POSITIONS - 1)).cache.max_position == MAX_POSITIONS - 1
         with pytest.raises(PositionError):
-            model.prefill(seq)
+            model.prefill(pruned(MAX_POSITIONS))
 
     def test_embedding_width_mismatch_rejected(self):
         model = init_model(small_config())
@@ -179,7 +186,7 @@ class TestPrefill:
         """Prefill applies the head to its final chunk only; the result is
         bitwise the last row of one whole-sequence ``forward_block``."""
         layout, n_language = ONE_TO_FOUR_CHUNKS[n]
-        model = init_model(small_config(max_positions=2048))
+        model = init_model(small_config())
         seq = random_prompt(model.config, layout, n_language, seed=n)
         assert len(seq) == n
         emb = model.embed_sequence(seq)
@@ -213,7 +220,7 @@ class TestGuidanceCapture:
     @pytest.mark.parametrize("name", sorted(CHUNKED_PROMPTS))
     def test_capture_equals_reference_mean(self, name):
         layout, n_language = CHUNKED_PROMPTS[name]
-        model = init_model(small_config(max_positions=1024))
+        model = init_model(small_config())
         seq = random_prompt(model.config, layout, n_language, seed=1)
         capture = model.prefill(seq, capture=True).capture
         assert capture.shape == (n_language, layout.total)
@@ -225,7 +232,7 @@ class TestGuidanceCapture:
     @pytest.mark.parametrize("name", sorted(CHUNKED_PROMPTS))
     def test_capture_leaves_logits_and_cache_bitwise(self, name):
         layout, n_language = CHUNKED_PROMPTS[name]
-        model = init_model(small_config(max_positions=1024))
+        model = init_model(small_config())
         seq = random_prompt(model.config, layout, n_language, seed=2)
         off = model.prefill(seq)
         on = model.prefill(seq, capture=True)
@@ -322,7 +329,7 @@ class TestTiledAttention:
     @staticmethod
     def prefill_peak(capture):
         """Traced peak bytes of a 1-layer, 8-head prefill of 512 items."""
-        model = init_model(small_config(n_layers=1, n_heads=8, max_positions=1024))
+        model = init_model(small_config(n_layers=1, n_heads=8))
         seq = random_prompt(model.config, VideoLayout(7, 8, 8), n_language=64)
         assert len(seq) == 512
         return traced_peak(lambda: model.prefill(seq, capture=capture))[1]
@@ -428,6 +435,15 @@ class TestDecode:
             model.decode_step(out.cache, row, 80)
         assert out.cache.length == n
 
+    def test_two_items_rejected(self):
+        """One position is given, so a two-item input fails the block's
+        one-position-per-item check before any slot is written."""
+        model = init_model(small_config())
+        out = model.prefill(random_prompt(model.config))
+        with pytest.raises(PositionError):
+            model.decode_step(out.cache, [1, 2], 80)
+        assert out.cache.length == 80
+
     def test_repeated_position_rejected(self):
         model = init_model(small_config())
         out = model.prefill(random_prompt(model.config))
@@ -450,6 +466,28 @@ class TestDecode:
         inc = np.stack(inc)
         denom = np.maximum(np.abs(full_logits), 1e-9)
         assert np.max(np.abs(inc - full_logits) / denom) <= 1e-5
+
+
+def every_mask(n_max):
+    """Every (n, n) boolean mask with 1 <= n <= n_max."""
+    return [
+        ((bits >> np.arange(n * n)) & 1).astype(bool).reshape(n, n)
+        for n in range(1, n_max + 1)
+        for bits in range(2 ** (n * n))
+    ]
+
+
+def every_tree_shaped_mask(n_max):
+    """Every (n, n) mask with 1 <= n <= n_max that admits each node to
+    itself and no later node: one per set of entries below the diagonal."""
+    masks = []
+    for n in range(1, n_max + 1):
+        rows, cols = np.tril_indices(n, k=-1)
+        for bits in range(2 ** rows.size):
+            mask = np.eye(n, dtype=bool)
+            mask[rows, cols] = (bits >> np.arange(rows.size)) & 1
+            masks.append(mask)
+    return masks
 
 
 class TestForwardTree:
@@ -520,6 +558,29 @@ class TestForwardTree:
         with pytest.raises(MaskError):
             model.forward_tree(out.cache, [1, 2], [80, 81], mask)
         assert out.cache.length == 80
+
+    @pytest.mark.parametrize(
+        "masks",
+        [every_mask(3), every_tree_shaped_mask(5)],
+        ids=["every_mask_n_le_3", "every_lower_triangle_n_le_5"],
+    )
+    def test_depths_match_reference(self, masks):
+        """``_tree_depths`` accepts exactly the masks the node-by-node
+        reference accepts, with the same depths. Over the 530 masks with
+        n <= 3, each check on a square mask rejects some mask; the 1,099
+        masks with a full diagonal and nothing above it, n <= 5, test
+        ancestor closure."""
+        accepted = 0
+        for mask in masks:
+            try:
+                expected = reference_tree_depths(mask)
+            except MaskError:
+                with pytest.raises(MaskError):
+                    _tree_depths(mask)
+                continue
+            assert np.array_equal(_tree_depths(mask), expected), mask.astype(int)
+            accepted += 1
+        assert 0 < accepted < len(masks)
 
     def test_wrong_depth_positions_rejected(self):
         model = init_model(small_config())
@@ -799,6 +860,18 @@ class TestCheckpoint:
         path.write_bytes(magic + b"\n" + header + b"\n" + data)
         with pytest.raises(ConfigError):
             load_checkpoint(path)
+
+    def test_huge_config_rejected_before_per_layer_work(self, tmp_path):
+        """A 40-byte data section under ``n_layers=10**4`` is rejected from
+        the header alone, before a per-layer shape table is built."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(small_config(n_layers=1)), path)
+        magic, header, data = path.read_bytes().split(b"\n", 2)
+        header = json.loads(header)
+        header["config"]["n_layers"] = 10**4
+        path.write_bytes(magic + b"\n" + json.dumps(header).encode("ascii") + b"\n" + data[:40])
+        _, peak = traced_peak(lambda: pytest.raises(ConfigError, load_checkpoint, path))
+        assert peak < 2**20
 
     @staticmethod
     def param_bytes(model):

@@ -148,6 +148,23 @@ class TestPlanTwoStage:
         assert plan.v_r.tolist() == [0, 1, 2]
         assert plan.n_retained == 3
 
+    def test_truncated_stage1_is_top_k(self):
+        """When Stage I overflows the budget, the guided set is the Top-K
+        set and the uniform set is empty, ties included (scores rounded to
+        a tenth tie often)."""
+        layout = VideoLayout(2, 3, 4)
+        rng = np.random.default_rng(18)
+        truncated = 0
+        for _ in range(200):
+            scores = np.round(rng.uniform(size=layout.total), 1)
+            r = float(rng.uniform(0.3, 0.9))
+            plan = plan_two_stage(scores, layout, r, float(rng.uniform(0.7, 1.0)))
+            if plan.stage1_truncated:
+                truncated += 1
+                np.testing.assert_array_equal(plan.v_r, plan_attention_top_k(scores, layout, r).v_r)
+                assert plan.v_u.size == 0
+        assert truncated > 50
+
     def test_guidance_scale_invariance(self):
         layout = VideoLayout(2, 2, 4)
         rng = np.random.default_rng(14)
