@@ -10,8 +10,12 @@ Incremental decoding, batched causal continuation and tree-masked forwards all
 share one attention core (`_hidden`), which is why their outputs agree to
 floating-point reduction error and why a rolled-back cache reproduces a fresh
 one bitwise. `forward_block` and `forward_tree` run the core and then the head
-(`final_norm`, then `head`); `prefill` runs the core chunk by chunk and the
-head on the final chunk's rows only.
+(`final_norm`, then `head`). `prefill` runs the core chunk by chunk and reads
+only the final item's logits: its last layer writes every row's keys and
+values (the cache holds each layer's input) and attends for the capture's
+language rows, but runs the rest of the layer and the head only on the final
+chunk's last 64 to 127 rows, since BLAS rounds a product of 1 to 3 rows
+differently from the same rows inside a larger one.
 
 Rotary encoding rotates each adjacent pair ``(2i, 2i+1)`` of a head's q and k
 dimensions by ``position * theta**(-2i / d_head)`` (RoFormer's pairing): the
@@ -56,6 +60,7 @@ from .sequence import MultimodalSequence, check_integer, integer_array
 _RMS_EPS = 1e-6
 _PREFILL_CHUNK = 512
 _ROW_TILE = 64  # block rows per attention tile
+_CACHE_HEADROOM = 256  # free slots a prefill cache keeps for decoding
 _CKPT_MAGIC = "VIDSPEC-CKPT 3"
 _ROPE_THETA = 10000.0
 MAX_POSITIONS = 4096  # every position lies in [0, MAX_POSITIONS)
@@ -330,12 +335,14 @@ class Model:
         positions: np.ndarray,
         tree_mask: np.ndarray | None = None,
         capture: tuple[np.ndarray, int] | None = None,
+        out_from: int = 0,
     ) -> np.ndarray:
-        """Final hidden states of a validated block; extends the cache.
+        """Final hidden states of a validated block's rows ``out_from`` on;
+        extends the cache.
 
         ``h`` holds the block's (n, d_model) embeddings, is owned by the
-        caller and is updated in place into the returned hidden states. The
-        block is causal unless ``forward_tree`` passes its checked
+        caller and is updated in place; the returned rows are a view of it.
+        The block is causal unless ``forward_tree`` passes its checked
         ``tree_mask``.
 
         A causal tile ``[r0, r1)`` masks only its diagonal square, columns
@@ -350,6 +357,13 @@ class Model:
         every block item at cache slot ``>= n_video`` (a language item) and
         every layer, its head-summed attention on slots ``[0, n_video)`` is
         added to row ``slot - n_video`` of ``acc``.
+
+        Every layer writes every row's keys and values, which come from its
+        input. Past the last layer only rows from ``out_from`` (0 or a
+        multiple of ``_ROW_TILE``, so the tiles are a whole block's) are read:
+        that layer computes queries and attention only from the tile of
+        ``min(out_from, first language row)``, as the capture reads every
+        layer's language rows, and ``wo`` and the MLP only from ``out_from``.
         """
         c = self.config
         n = h.shape[0]
@@ -377,25 +391,29 @@ class Model:
         rot_q = rot_k / np.sqrt(c.d_head)  # folds the score scale into q
         p = self.params
         ctx = np.empty((c.n_heads, n, c.d_head))
+        q0 = o0 = 0  # rows from q0 attend; rows from o0 take the layer's output
         for layer in range(c.n_layers):
+            if layer == c.n_layers - 1:
+                q0, o0 = min(out_from, first - first % _ROW_TILE), out_from
             pre = f"layers.{layer}."
             x = _rms_norm(h, p[pre + "attn_norm"])
-            q = (x @ p[pre + "wq"]).view(np.complex128).reshape(n, c.n_heads, -1)
-            q *= rot_q
             k = (x @ p[pre + "wk"]).view(np.complex128).reshape(n, c.n_heads, -1)
             k *= rot_k
             v = (x @ p[pre + "wv"]).reshape(n, c.n_heads, c.d_head)
             cache.k[layer, L0:m] = k.view(np.float64)
             cache.v[layer, L0:m] = v
+            q = (x[q0:] @ p[pre + "wq"]).view(np.complex128)
+            q = q.reshape(n - q0, c.n_heads, c.d_head // 2)
+            q *= rot_q[q0:]
             q = q.view(np.float64).transpose(1, 0, 2)
             keys = cache.k[layer, :m].transpose(1, 2, 0)
             vals = cache.v[layer, :m].transpose(1, 0, 2)
-            for r0 in range(0, n, _ROW_TILE):
+            for r0 in range(q0, n, _ROW_TILE):
                 r1 = min(r0 + _ROW_TILE, n)
                 c0 = r0 if causal else 0  # block columns before c0 need no mask
                 for shift in (False, True):
                     # columns past L0 + r1 are hidden from every row of the tile
-                    scores = np.matmul(q[:, r0:r1], keys[:, :, : L0 + r1])
+                    scores = np.matmul(q[:, r0 - q0 : r1 - q0], keys[:, :, : L0 + r1])
                     np.copyto(scores[:, :, L0 + c0 :], -np.inf, where=blocked[None, r0:r1, c0:r1])
                     if shift:  # then z >= 1: the row maximum gives exp(0)
                         scores -= scores.max(axis=-1, keepdims=True)
@@ -404,25 +422,29 @@ class Model:
                         z = scores.sum(axis=-1, keepdims=True)
                     if z.min() >= _Z_MIN and z.max() <= _Z_MAX:  # False for a NaN too
                         break
-                tile_ctx = ctx[:, r0:r1]
-                np.matmul(scores, vals[:, : L0 + r1], out=tile_ctx)
-                tile_ctx /= z
+                if r1 > o0:  # a tile wholly before o0 feeds only the capture
+                    tile_ctx = ctx[:, r0:r1]
+                    np.matmul(scores, vals[:, : L0 + r1], out=tile_ctx)
+                    tile_ctx /= z
                 lang = max(r0, first)
                 if lang < r1:
                     probs = scores[:, lang - r0 :, :n_video] / z[:, lang - r0 :]
                     acc[L0 + lang - n_video : L0 + r1 - n_video] += probs.sum(axis=0)
-            h += ctx.transpose(1, 0, 2).reshape(n, c.d_model) @ p[pre + "wo"]
-            x = _rms_norm(h, p[pre + "mlp_norm"])
+            if o0 == n:  # no row of this layer's output is read
+                break
+            out = h[o0:]  # a view, updated in place
+            out += ctx[:, o0:].transpose(1, 0, 2).reshape(n - o0, c.d_model) @ p[pre + "wo"]
+            x = _rms_norm(out, p[pre + "mlp_norm"])
             a = x @ p[pre + "w1"]
             t = np.negative(a)  # SiLU in place: a / (1 + exp(-a))
             np.exp(t, out=t)
             t += 1.0
             np.divide(a, t, out=t)
-            h += t @ p[pre + "w2"]
+            out += t @ p[pre + "w2"]
 
         cache.pos[L0:m] = positions
         cache.length = m
-        return h
+        return h[out_from:]
 
     def prefill(self, seq: MultimodalSequence, capture: bool = False) -> PrefillResult:
         """Build a fresh cache over the whole sequence; optionally capture guidance.
@@ -434,26 +456,34 @@ class Model:
         summed chunk by chunk in float64; logits and cache are the same
         with ``capture`` on or off.
 
-        The core runs over chunks of ``_PREFILL_CHUNK`` items; the head runs
-        only on the final chunk's rows, whose last row is the result. (A
-        one-row product would take BLAS's matrix-vector path, whose rounding
-        differs from the row of a whole-block ``forward_block``.)
+        The core runs over chunks of ``_PREFILL_CHUNK`` items; a final chunk
+        shorter than one ``_ROW_TILE`` joins the chunk before it. The cache
+        keeps ``_CACHE_HEADROOM`` free slots, so the first decode steps do
+        not grow it. Only the final item's logits are read, so the last
+        layer's ``wo`` and MLP and the head run on the final chunk's rows
+        from the last tile boundary that leaves at least ``_ROW_TILE`` rows:
+        BLAS rounds a product of 1 to 3 rows differently from the same rows
+        inside a larger product, and the logits stay bitwise the last row of
+        a whole-sequence ``forward_block``.
         """
         n = len(seq)
         if n == 0:
             raise SequenceError("cannot prefill an empty sequence")
         emb = self.embed_sequence(seq)
         positions = seq.positions
-        cache = self.new_cache(capacity=n)
+        cache = self.new_cache(capacity=n + _CACHE_HEADROOM)
         self._check_positions(cache, positions)
         acc = np.zeros((seq.n_language, seq.n_video)) if capture else None
-        for start in range(0, n, _PREFILL_CHUNK):
-            end = min(n, start + _PREFILL_CHUNK)
+        # a final chunk shorter than one tile joins the chunk before it
+        starts = list(range(0, max(n - _ROW_TILE, 0) + 1, _PREFILL_CHUNK))
+        for start, end in zip(starts, starts[1:] + [n]):
+            size = end - start
             h = self._hidden(
                 cache,
                 emb[start:end],
                 positions[start:end],
                 capture=None if acc is None else (acc, seq.n_video),
+                out_from=max(size - _ROW_TILE, 0) // _ROW_TILE * _ROW_TILE if end == n else size,
             )
         if acc is not None:
             acc /= self.config.n_layers * self.config.n_heads

@@ -15,6 +15,7 @@ from vidspec.errors import (
     SequenceError,
 )
 from vidspec.model import (
+    _ROW_TILE,
     MAX_POSITIONS,
     KvCache,
     Model,
@@ -102,6 +103,37 @@ ONE_TO_FOUR_CHUNKS = {
     2014: (VideoLayout(7, 16, 16), 222),
 }
 
+# The benchmark's verifier width, where BLAS rounds a product of 1 to 3 rows
+# differently from the same rows inside a larger product.
+BENCH_WIDTH = ModelConfig(n_layers=4, n_heads=8, d_model=256, vocab_size=4096)
+
+# Benchmark-width prompts whose final chunk would hold 2, 1 and 3 items, fewer
+# than one 64-row tile; such a chunk joins the chunk before it.
+SHORT_FINAL_CHUNK = {
+    514: (VideoLayout(2, 15, 15), 64),
+    1025: (VideoLayout(3, 16, 20), 65),
+    1027: (VideoLayout(3, 16, 20), 67),
+}
+
+
+class RowCounter(np.ndarray):
+    """A weight that records the row count of its left operand in every
+    matrix product, then takes the product as a plain array."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.rows.append(inputs[0].shape[0])
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+def count_last_w1_rows(model):
+    """``model`` with its last layer's ``w1`` replaced by a ``RowCounter``,
+    and that counter's list of row counts."""
+    name = f"layers.{model.config.n_layers - 1}.w1"
+    w1 = model.params[name].view(RowCounter)
+    w1.rows = []
+    return Model(model.config, {**model.params, name: w1}), w1.rows
+
 
 class TestPrefill:
     def test_single_language_token(self):
@@ -181,18 +213,72 @@ class TestPrefill:
         with pytest.raises(SequenceError):
             model.prefill(seq)
 
-    @pytest.mark.parametrize("n", sorted(ONE_TO_FOUR_CHUNKS))
+    @pytest.mark.parametrize("n", sorted(ONE_TO_FOUR_CHUNKS) + sorted(SHORT_FINAL_CHUNK))
     def test_logits_equal_last_row_of_one_block(self, n):
-        """Prefill applies the head to its final chunk only; the result is
-        bitwise the last row of one whole-sequence ``forward_block``."""
-        layout, n_language = ONE_TO_FOUR_CHUNKS[n]
-        model = init_model(small_config())
+        """Prefill applies the head to its final chunk's last rows only; the
+        result is bitwise the last row of one whole-sequence
+        ``forward_block``."""
+        if n in ONE_TO_FOUR_CHUNKS:
+            config, (layout, n_language) = small_config(), ONE_TO_FOUR_CHUNKS[n]
+        else:
+            config, (layout, n_language) = BENCH_WIDTH, SHORT_FINAL_CHUNK[n]
+        model = init_model(config)
         seq = random_prompt(model.config, layout, n_language, seed=n)
         assert len(seq) == n
         emb = model.embed_sequence(seq)
         whole = model.forward_block(model.new_cache(), emb, seq.positions)
         assert np.array_equal(emb, model.embed_sequence(seq))  # input left as it was
         assert np.array_equal(model.prefill(seq).logits, whole[-1])
+
+    @pytest.mark.parametrize("n", sorted(ONE_TO_FOUR_CHUNKS))
+    def test_cache_equals_one_block(self, n):
+        """The last layer skips rows nothing reads but still writes every
+        row's keys and values: the cache is bitwise that of one
+        whole-sequence ``forward_block``."""
+        layout, n_language = ONE_TO_FOUR_CHUNKS[n]
+        model = init_model(small_config())
+        seq = random_prompt(model.config, layout, n_language, seed=n)
+        whole = model.new_cache()
+        model.forward_block(whole, model.embed_sequence(seq), seq.positions)
+        cache = model.prefill(seq).cache
+        assert cache.length == whole.length == n
+        assert np.array_equal(cache.k[:, :n], whole.k[:, :n])
+        assert np.array_equal(cache.v[:, :n], whole.v[:, :n])
+        assert np.array_equal(cache.pos[:n], whole.pos[:n])
+
+    def test_cache_has_decode_headroom(self):
+        """A 64-item block after a prefill fits the prefill's cache, which is
+        not reallocated."""
+        model = init_model(small_config())
+        seq = random_prompt(model.config)
+        cache = model.prefill(seq).cache
+        k = cache.k
+        tokens = np.arange(64)
+        model.forward_block(cache, tokens, len(seq) + tokens)
+        assert cache.k is k
+        assert cache.length == len(seq) + 64
+
+    @pytest.mark.parametrize("capture", [False, True])
+    def test_last_layer_mlp_runs_on_one_or_two_tiles(self, capture):
+        """A 2014-item prefill sends at most two tiles of rows through the
+        last layer's MLP (the whole sequence before); a ``forward_block``
+        still sends all of its rows. The results are those of the plain
+        weights."""
+        layout, n_language = ONE_TO_FOUR_CHUNKS[2014]
+        model = init_model(small_config())
+        counted, rows = count_last_w1_rows(model)
+        seq = random_prompt(model.config, layout, n_language, seed=4)
+        out = counted.prefill(seq, capture=capture)
+        assert 0 < sum(rows) <= 2 * _ROW_TILE
+        plain = model.prefill(seq, capture=capture)
+        assert np.array_equal(out.logits, plain.logits)
+        if capture:
+            assert np.array_equal(out.capture, plain.capture)
+        rows.clear()
+        tokens, positions = seq.language_tokens, np.arange(n_language)
+        logits = counted.forward_block(counted.new_cache(), tokens, positions)
+        assert sum(rows) == n_language
+        assert np.array_equal(logits, model.forward_block(model.new_cache(), tokens, positions))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_video_row_rejected(self, bad):
