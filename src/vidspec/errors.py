@@ -30,16 +30,8 @@ class GuidanceError(VidspecError, ValueError):
 
 
 class DegenerateScoresError(VidspecError, ValueError):
-    """All-zero guidance scores: Top-P retention and cumulative profiles are undefined."""
+    """All-zero guidance scores: Top-P retention is undefined."""
 
 
 class PlanError(VidspecError, ValueError):
     """Invalid pruning plan or plan applied to an already-pruned sequence."""
-
-
-class TemplateError(VidspecError, ValueError):
-    """Malformed draft tree template."""
-
-
-class LosslessnessError(VidspecError, RuntimeError):
-    """Speculative output diverged from vanilla greedy output. Always a bug."""

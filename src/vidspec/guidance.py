@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateScoresError, GuidanceError
-from .sequence import MultimodalSequence
+from .errors import GuidanceError
+from .sequence import MultimodalSequence, float_array
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,7 @@ class GuidanceMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise GuidanceError("guidance matrix must be 2-D")
+        values = float_array(self.values, 2, GuidanceError, "guidance matrix")
         object.__setattr__(self, "values", values)
 
     @property
@@ -47,24 +45,8 @@ class GuidanceScores:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise GuidanceError("scores must be 1-D")
+        values = float_array(self.values, 1, GuidanceError, "scores")
         object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class CumulativeProfile:
-    """Cumulative attention mass against token fraction, tokens sorted by
-    descending score. Starts at (0, 0), ends at (1, 1), concave in between."""
-
-    token_fraction: np.ndarray
-    attention_fraction: np.ndarray
-
-
-def descending_order(values: np.ndarray) -> np.ndarray:
-    """Indices sorting values descending; ties broken by ascending index."""
-    return np.argsort(-np.asarray(values), kind="stable")
 
 
 def extract_guidance(capture: np.ndarray, seq: MultimodalSequence) -> GuidanceMatrix:
@@ -72,10 +54,11 @@ def extract_guidance(capture: np.ndarray, seq: MultimodalSequence) -> GuidanceMa
 
     ``capture`` is ``PrefillResult.capture`` from ``prefill(seq, capture=True)``:
     language-row/video-column attention already averaged over all layers and
-    heads. It must have shape ``(seq.n_language, seq.n_video)``, with at least
-    one language row, and ``seq`` must be the unpruned prompt.
+    heads. It must be a finite array of shape ``(seq.n_language, seq.n_video)``,
+    with at least one language row, and ``seq`` must be the unpruned prompt.
     """
-    shape = np.shape(capture)
+    matrix = GuidanceMatrix(capture)
+    shape = matrix.values.shape
     if shape != (seq.n_language, seq.n_video):
         raise GuidanceError(
             f"capture has shape {shape}, sequence needs {(seq.n_language, seq.n_video)}"
@@ -84,7 +67,7 @@ def extract_guidance(capture: np.ndarray, seq: MultimodalSequence) -> GuidanceMa
         raise GuidanceError("guidance is undefined without language query rows")
     if seq.is_pruned:
         raise GuidanceError("guidance is extracted from the unpruned prompt")
-    return GuidanceMatrix(capture)
+    return matrix
 
 
 def score_tokens(matrix: GuidanceMatrix) -> GuidanceScores:
@@ -92,19 +75,3 @@ def score_tokens(matrix: GuidanceMatrix) -> GuidanceScores:
     if matrix.n_language < 1:
         raise GuidanceError("at least one language row required")
     return GuidanceScores(matrix.values.mean(axis=0))
-
-
-def cumulative_profile(scores: GuidanceScores) -> CumulativeProfile:
-    values = scores.values
-    if values.shape[0] == 0:
-        raise DegenerateScoresError("no scores")
-    order = descending_order(values)
-    cum = np.cumsum(values[order])
-    total = cum[-1]
-    if total <= 0.0:
-        raise DegenerateScoresError("all-zero scores have no cumulative profile")
-    n = values.shape[0]
-    return CumulativeProfile(
-        token_fraction=np.arange(n + 1) / n,
-        attention_fraction=np.concatenate([[0.0], cum / total]),
-    )

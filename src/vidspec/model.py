@@ -10,34 +10,15 @@ Incremental decoding, batched causal continuation and tree-masked forwards all
 share one attention core (`_hidden`), which is why their outputs agree to
 floating-point reduction error and why a rolled-back cache reproduces a fresh
 one bitwise. `forward_block` and `forward_tree` run the core and then the head
-(`final_norm`, then `head`). `prefill` runs the core chunk by chunk and reads
-only the final item's logits: its last layer writes every row's keys and
-values (the cache holds each layer's input) and attends for the capture's
-language rows, but runs the rest of the layer and the head only on the final
-chunk's last 64 to 127 rows, since BLAS rounds a product of 1 to 3 rows
-differently from the same rows inside a larger one.
+(`final_norm`, then `head`); `prefill` runs the core chunk by chunk and the
+head on the final chunk's last rows alone. The core's tile, softmax and
+last-layer rules are stated once, in `Model._hidden`; prefill's chunk and
+cache-headroom rules in `Model.prefill`.
 
 Rotary encoding rotates each adjacent pair ``(2i, 2i+1)`` of a head's q and k
 dimensions by ``position * theta**(-2i / d_head)`` (RoFormer's pairing): the
 pairs are read as complex numbers and rotated by one in-place complex
 multiply, with ``1/sqrt(d_head)`` folded into q's rotation.
-
-The core runs attention over tiles of 64 block rows, all heads at once, and
-does only the work whose result it keeps; each step below changes the result
-only by rounding:
-
-- Neither a causal block nor a tree mask admits a later block item, so no row
-  of a tile ``[a, b)`` attends a column past ``L0 + b`` (``L0`` live cache
-  slots before the block): those columns are never computed. No
-  ``(heads, n, L0 + n)`` score array is ever allocated.
-- A causal tile sees every column before ``L0 + a``, so only its diagonal
-  square is masked; a tree tile masks all of its block columns.
-- The tile's scores become ``exp(s)`` in place, with no row-maximum shift.
-  The tile is kept when every softmax row sum ``z`` lies in
-  ``[1e-250, 1e250]``; otherwise (an overflow, a row that underflowed, or a
-  NaN) its scores are computed again and exponentiated as ``exp(s - max)``.
-- The softmax is normalised after ``scores @ V``: the ``(heads, rows,
-  d_head)`` context is divided by the row sums ``z``.
 """
 
 from __future__ import annotations
@@ -55,7 +36,7 @@ from .errors import (
     RollbackError,
     SequenceError,
 )
-from .sequence import MultimodalSequence, check_integer, integer_array
+from .sequence import MultimodalSequence, as_array, check_integer, float_array, integer_array
 
 _RMS_EPS = 1e-6
 _PREFILL_CHUNK = 512
@@ -251,9 +232,10 @@ class Model:
         return KvCache(c.n_layers, c.n_heads, c.d_head, capacity)
 
     def embed_items(self, items) -> np.ndarray:
-        """Token ids (ints) or ready embedding rows -> (n, d_model) float64."""
+        """Token ids (ints) or ready embedding rows -> a new (n, d_model)
+        float64 array, which ``_hidden`` may update in place."""
         d = self.config.d_model
-        arr = np.asarray(items)
+        arr = as_array(items, SequenceError, "items")
         if arr.ndim == 0:
             arr = arr.reshape(1)
         if np.issubdtype(arr.dtype, np.integer):
@@ -262,14 +244,10 @@ class Model:
             if arr.size and (arr.min() < 0 or arr.max() >= self.config.vocab_size):
                 raise SequenceError("token id outside vocabulary")
             return self.params["embed"][arr].astype(np.float64, copy=True)
-        arr = arr.astype(np.float64)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2 or arr.shape[1] != d:
+        arr = float_array(np.atleast_2d(arr), 2, SequenceError, "embedding rows")
+        if arr.shape[1] != d:
             raise SequenceError(f"embedding rows must have width {d}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise SequenceError("embedding rows must be finite")
-        return arr
+        return arr.copy()
 
     def embed_sequence(self, seq: MultimodalSequence) -> np.ndarray:
         parts = []
@@ -286,17 +264,8 @@ class Model:
 
         Every block item sees all live cache slots, every earlier block item
         and itself. The cache is extended by the block; the caller owns any
-        rollback.
-
-        The forward is the hidden-state core (``_hidden``, which also writes
-        the cache) followed by the head, ``final_norm`` then ``head``. Inside
-        the core, attention runs in tiles of ``_ROW_TILE`` block rows; tile
-        ``[a, b)`` scores only the ``L0 + b`` columns its rows can see (``L0``
-        slots were live before the block). The core folds ``1/sqrt(d_head)``
-        into q's rotation, masks only the diagonal square of a causal tile,
-        takes ``exp`` of the scores without a row-maximum shift unless a row
-        sum leaves ``[1e-250, 1e250]``, and normalises the softmax after
-        ``scores @ V`` (see ``_hidden``).
+        rollback. The forward is the core ``_hidden`` (which also writes the
+        cache) followed by the head, ``final_norm`` then ``head``.
 
         Returns (n, vocab) logits, one row per block item.
         """
@@ -334,7 +303,7 @@ class Model:
         h: np.ndarray,
         positions: np.ndarray,
         tree_mask: np.ndarray | None = None,
-        capture: tuple[np.ndarray, int] | None = None,
+        capture: np.ndarray | None = None,
         out_from: int = 0,
     ) -> np.ndarray:
         """Final hidden states of a validated block's rows ``out_from`` on;
@@ -345,25 +314,36 @@ class Model:
         The block is causal unless ``forward_tree`` passes its checked
         ``tree_mask``.
 
-        A causal tile ``[r0, r1)`` masks only its diagonal square, columns
-        ``L0 + r0`` to ``L0 + r1``; a tree tile masks all of its block
-        columns, since a tree row may not see an earlier block item. The
-        tile's scores become ``exp(s)``; if a row sum ``z`` then lies outside
-        ``[_Z_MIN, _Z_MAX]`` (or is NaN), the tile is scored again and
-        exponentiated as ``exp(s - max)``, whose row sums are at least 1. The
-        tile's context is divided by ``z`` after ``scores @ V``.
+        ``capture`` is prefill's ``(n_language, n_video)`` guidance
+        accumulator: for every block item at cache slot ``>= n_video`` (a
+        language item) and every layer, its head-summed attention on slots
+        ``[0, n_video)`` is added to row ``slot - n_video``.
 
-        ``capture = (acc, n_video)`` is prefill's guidance accumulator: for
-        every block item at cache slot ``>= n_video`` (a language item) and
-        every layer, its head-summed attention on slots ``[0, n_video)`` is
-        added to row ``slot - n_video`` of ``acc``.
+        Attention runs over tiles of ``_ROW_TILE`` block rows, all heads at
+        once, and does only the work whose result it keeps; each rule
+        changes the result only by rounding:
 
-        Every layer writes every row's keys and values, which come from its
-        input. Past the last layer only rows from ``out_from`` (0 or a
-        multiple of ``_ROW_TILE``, so the tiles are a whole block's) are read:
-        that layer computes queries and attention only from the tile of
-        ``min(out_from, first language row)``, as the capture reads every
-        layer's language rows, and ``wo`` and the MLP only from ``out_from``.
+        - Tiles. Neither a causal block nor a tree mask admits a later block
+          item, so tile ``[r0, r1)`` scores only the ``L0 + r1`` columns its
+          rows can see (``L0`` slots were live before the block), and no
+          ``(heads, n, L0 + n)`` score array is allocated. A causal tile
+          masks only its diagonal square, columns ``L0 + r0`` to
+          ``L0 + r1``; a tree tile masks all of its block columns, since a
+          tree row may not see an earlier block item.
+        - Softmax. The tile's scores become ``exp(s)`` in place, with no
+          row-maximum shift; if a row sum ``z`` then lies outside
+          ``[_Z_MIN, _Z_MAX]`` (an overflow, a row that underflowed, or a
+          NaN), the tile is scored again and exponentiated as
+          ``exp(s - max)``, whose row sums are at least 1. The tile's
+          ``(heads, rows, d_head)`` context is divided by ``z`` after
+          ``scores @ V``.
+        - Last layer. Every layer writes every row's keys and values, which
+          come from its input. Past the last layer only rows from
+          ``out_from`` (0 or a multiple of ``_ROW_TILE``, so the tiles are a
+          whole block's) are read: that layer computes queries and attention
+          only from the tile of ``min(out_from, first language row)``, as the
+          capture reads every layer's language rows, and ``wo`` and the MLP
+          only from ``out_from``.
         """
         c = self.config
         n = h.shape[0]
@@ -384,7 +364,7 @@ class Model:
 
         first = n  # first block row that is a language item; n when not capturing
         if capture is not None:
-            acc, n_video = capture
+            n_video = capture.shape[1]
             first = max(n_video - L0, 0)
 
         rot_k = rope(positions, c.d_head, _ROPE_THETA)
@@ -429,7 +409,7 @@ class Model:
                 lang = max(r0, first)
                 if lang < r1:
                     probs = scores[:, lang - r0 :, :n_video] / z[:, lang - r0 :]
-                    acc[L0 + lang - n_video : L0 + r1 - n_video] += probs.sum(axis=0)
+                    capture[L0 + lang - n_video : L0 + r1 - n_video] += probs.sum(axis=0)
             if o0 == n:  # no row of this layer's output is read
                 break
             out = h[o0:]  # a view, updated in place
@@ -459,12 +439,12 @@ class Model:
         The core runs over chunks of ``_PREFILL_CHUNK`` items; a final chunk
         shorter than one ``_ROW_TILE`` joins the chunk before it. The cache
         keeps ``_CACHE_HEADROOM`` free slots, so the first decode steps do
-        not grow it. Only the final item's logits are read, so the last
-        layer's ``wo`` and MLP and the head run on the final chunk's rows
-        from the last tile boundary that leaves at least ``_ROW_TILE`` rows:
-        BLAS rounds a product of 1 to 3 rows differently from the same rows
-        inside a larger product, and the logits stay bitwise the last row of
-        a whole-sequence ``forward_block``.
+        not grow it. Only the final item's logits are read: earlier chunks
+        output no rows, and the final chunk's ``out_from`` (see ``_hidden``)
+        is the last tile boundary that leaves at least ``_ROW_TILE`` rows,
+        since BLAS rounds a product of 1 to 3 rows differently from the same
+        rows inside a larger product. So the logits stay bitwise the last
+        row of a whole-sequence ``forward_block``.
         """
         n = len(seq)
         if n == 0:
@@ -482,7 +462,7 @@ class Model:
                 cache,
                 emb[start:end],
                 positions[start:end],
-                capture=None if acc is None else (acc, seq.n_video),
+                capture=acc,
                 out_from=max(size - _ROW_TILE, 0) // _ROW_TILE * _ROW_TILE if end == n else size,
             )
         if acc is not None:
@@ -511,7 +491,7 @@ class Model:
         the next free position advanced by tree depth. The cache is extended by
         all nodes; the caller rolls back the non-accepted ones.
         """
-        tree_mask = np.asarray(tree_mask, dtype=bool)
+        tree_mask = as_array(tree_mask, MaskError, "tree mask", dtype=bool)
         depths = _tree_depths(tree_mask)
         emb, positions = self._block_input(cache, items, positions)
         if positions.shape[0] != depths.size:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateScoresError, PlanError
-from .guidance import GuidanceScores, descending_order
-from .sequence import MultimodalSequence, VideoLayout, check_integer, integer_array
+from .guidance import GuidanceScores
+from .sequence import MultimodalSequence, VideoLayout, check_integer, float_array, integer_array
 
 logger = logging.getLogger(__name__)
 
@@ -77,13 +77,14 @@ class PruningPlan:
         return int(self.v_r.size + self.v_u.size)
 
 
+def descending_order(values: np.ndarray) -> np.ndarray:
+    """Indices sorting values descending; ties broken by ascending index."""
+    return np.argsort(-np.asarray(values), kind="stable")
+
+
 def _score_values(scores) -> np.ndarray:
-    values = scores.values if isinstance(scores, GuidanceScores) else np.asarray(scores)
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise PlanError("scores must be 1-D")
-    if not np.all(np.isfinite(values)):
-        raise PlanError("scores must be finite")
+    values = scores.values if isinstance(scores, GuidanceScores) else scores
+    values = float_array(values, 1, PlanError, "scores")
     if np.any(values < 0):
         raise PlanError("scores must be nonnegative")
     return values
@@ -215,13 +216,11 @@ def plan_temporal_similarity(embeddings, layout: VideoLayout, r: float) -> Pruni
     budget is smaller than one frame, frame-0 cells are trimmed
     highest-index-first after every candidate is gone.
     """
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    if embeddings.ndim != 2 or embeddings.shape[0] != layout.total:
+    embeddings = float_array(embeddings, 2, PlanError, "embeddings")
+    if embeddings.shape[0] != layout.total:
         raise PlanError(
             f"embeddings of shape {embeddings.shape} for a {layout.total}-token layout"
         )
-    if not np.all(np.isfinite(embeddings)):
-        raise PlanError("embeddings must be finite")
     k_total = retention_budget(layout.total, r)
     n_drop = layout.total - k_total
     grid = embeddings.reshape(layout.frames, layout.frame_size, -1)

@@ -4,6 +4,11 @@ Every sequence has a video layout; a prompt without video items is a layout
 with none of its cells present. A sequence keeps the *original* position index
 of every item. Pruning removes video items but never re-indexes the survivors,
 so rotary encodings downstream see the same positions as the unpruned prompt.
+
+Outside arrays enter the package through ``as_array`` and the two checks built
+on it, ``integer_array`` and ``float_array``: a ragged array, a wrong dtype or
+rank, or (for floats) a NaN or inf raises the caller's typed error, never a
+bare ``ValueError``.
 """
 
 from __future__ import annotations
@@ -15,13 +20,36 @@ import numpy as np
 from .errors import SequenceError
 
 
+def as_array(values, error: type[Exception], what: str, dtype=None) -> np.ndarray:
+    """``np.asarray(values, dtype)``; ``error`` where that fails, as for a
+    ragged nesting or a string ``dtype`` cannot parse."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} is not a rectangular array of numbers: {exc}") from exc
+
+
 def integer_array(values, error: type[Exception], what: str) -> np.ndarray:
     """``values`` as an int64 array; ``error`` unless its dtype is integer
     (an empty array of any dtype passes)."""
-    arr = np.asarray(values)
+    arr = as_array(values, error, what)
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
         raise error(f"{what} must be integers, got dtype {arr.dtype}")
     return arr.astype(np.int64, copy=False)
+
+
+def float_array(values, ndim: int, error: type[Exception], what: str) -> np.ndarray:
+    """``values`` as a float64 array of rank ``ndim``; ``error`` unless its
+    dtype is integer or floating and every value is finite."""
+    arr = as_array(values, error, what)
+    if arr.dtype.kind not in "iuf":
+        raise error(f"{what} must be real numbers, got dtype {arr.dtype}")
+    if arr.ndim != ndim:
+        raise error(f"{what} must be {ndim}-D, got shape {arr.shape}")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise error(f"{what} must be finite")
+    return arr
 
 
 def check_integer(value, minimum: int, error: type[Exception], what: str) -> None:
@@ -74,11 +102,9 @@ class MultimodalSequence:
 
     def __post_init__(self):
         _check_layout(self.layout)
-        embeds = np.asarray(self.video_embeds, dtype=np.float64)
+        embeds = float_array(self.video_embeds, 2, SequenceError, "video embeddings")
         indices = integer_array(self.video_indices, SequenceError, "video indices")
         tokens = integer_array(self.language_tokens, SequenceError, "language tokens")
-        if embeds.ndim != 2:
-            raise SequenceError(f"video embeddings must be 2-D, got shape {embeds.shape}")
         if indices.ndim != 1 or tokens.ndim != 1:
             raise SequenceError("video_indices and language_tokens must be 1-D")
         if embeds.shape[0] != indices.shape[0]:

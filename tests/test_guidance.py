@@ -1,19 +1,12 @@
-"""Guidance extraction, scoring, and the cumulative (long-tail) profile."""
+"""Guidance extraction and scoring."""
 
 import numpy as np
 import pytest
 
-from vidspec.errors import DegenerateScoresError, GuidanceError
-from vidspec.guidance import (
-    CumulativeProfile,
-    GuidanceMatrix,
-    GuidanceScores,
-    cumulative_profile,
-    descending_order,
-    extract_guidance,
-    score_tokens,
-)
+from vidspec.errors import GuidanceError
+from vidspec.guidance import GuidanceMatrix, GuidanceScores, extract_guidance, score_tokens
 from vidspec.model import ModelConfig, init_model
+from vidspec.pruning import descending_order
 from vidspec.sequence import MultimodalSequence, VideoLayout
 
 from reference import reference_forward
@@ -61,6 +54,19 @@ class TestExtractGuidance:
         for shape in [(3, 2), (2, 3), (4,), (2, 2, 1)]:
             with pytest.raises(GuidanceError):
                 extract_guidance(np.zeros(shape), seq)
+
+    MALFORMED_GUIDANCE = {
+        "capture_nan": lambda seq: extract_guidance(np.full((2, 2), np.nan), seq),
+        "capture_inf": lambda seq: extract_guidance(np.array([[0.1, np.inf], [0.1, 0.1]]), seq),
+        "capture_string": lambda seq: extract_guidance([["a", "b"], ["c", "d"]], seq),
+        "scores_inf": lambda seq: GuidanceScores([np.inf]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_GUIDANCE))
+    def test_malformed_guidance_rejected(self, name):
+        """A capture or scores holding NaN, inf or strings raise ``GuidanceError``."""
+        with pytest.raises(GuidanceError):
+            self.MALFORMED_GUIDANCE[name](video_seq(VideoLayout(1, 1, 2), 2))
 
     def test_pruned_sequence_rejected(self):
         full = video_seq(VideoLayout(1, 1, 3), 2)
@@ -119,38 +125,3 @@ class TestScoreTokens:
         b = score_tokens(GuidanceMatrix(3.5 * vals)).values
         np.testing.assert_allclose(b, 3.5 * a, rtol=1e-12)
         np.testing.assert_array_equal(descending_order(a), descending_order(b))
-
-
-class TestCumulativeProfile:
-    def test_hand_case(self):
-        profile = cumulative_profile(GuidanceScores(np.array([0.5, 0.3, 0.2])))
-        np.testing.assert_allclose(profile.token_fraction, [0, 1 / 3, 2 / 3, 1.0])
-        np.testing.assert_allclose(profile.attention_fraction, [0, 0.5, 0.8, 1.0])
-
-    def test_uniform_scores_diagonal(self):
-        profile = cumulative_profile(GuidanceScores(np.full(8, 0.1)))
-        np.testing.assert_allclose(
-            profile.attention_fraction, profile.token_fraction, atol=1e-12
-        )
-
-    def test_one_hot_jumps_to_one(self):
-        scores = np.zeros(6)
-        scores[2] = 0.7
-        profile = cumulative_profile(GuidanceScores(scores))
-        assert profile.attention_fraction[1] == 1.0
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(DegenerateScoresError):
-            cumulative_profile(GuidanceScores(np.zeros(4)))
-
-    def test_structure_on_random_vectors(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            n = int(rng.integers(1, 200))
-            profile = cumulative_profile(GuidanceScores(rng.uniform(size=n)))
-            assert profile.attention_fraction[0] == 0.0
-            assert profile.attention_fraction[-1] == 1.0
-            assert profile.token_fraction[0] == 0.0 and profile.token_fraction[-1] == 1.0
-            assert np.all(np.diff(profile.attention_fraction) >= -1e-15)
-            if n > 1:
-                assert np.all(np.diff(profile.attention_fraction, 2) <= 1e-12)

@@ -363,6 +363,25 @@ NON_INTEGER_INPUT = {
         lambda m: ModelConfig(n_layers=True, n_heads=1, d_model=True, vocab_size=2, seed=False),
     ),
     "layout_bool": (SequenceError, lambda m: VideoLayout(True, 2, 2)),
+    "tokens_ragged": (SequenceError, lambda m: two_cells(tokens=[[3], [3, 4]])),
+    "positions_ragged": (
+        PositionError,
+        lambda m: m.forward_block(m.new_cache(), [1, 2], [[0], [1, 2]]),
+    ),
+    "embeds_string": (SequenceError, lambda m: two_cells(embeds=[["x"] * D] * 2)),
+    "items_string": (
+        SequenceError,
+        lambda m: m.forward_block(m.new_cache(), [["x"] * D] * 2, [0, 1]),
+    ),
+    "items_ragged": (
+        SequenceError,
+        lambda m: m.forward_block(m.new_cache(), [[1], [1, 2]], [0, 1]),
+    ),
+    "rollback_ragged": (RollbackError, lambda m: m.new_cache().rollback([[0], [0, 1]])),
+    "tree_mask_ragged": (
+        MaskError,
+        lambda m: m.forward_tree(m.new_cache(), [1, 2], [0, 1], [[True], [True, True]]),
+    ),
 }
 
 
@@ -370,8 +389,9 @@ NON_INTEGER_INPUT = {
 def test_malformed_input_raises_typed_error(name):
     """Non-integer positions, tokens, indices and layout sizes, 1-D video
     embeddings, a missing layout (also in ``MultimodalSequence.full``), a
-    seed that is not a non-negative integer and a ``bool`` where a size or
-    seed is due raise the package's own errors."""
+    seed that is not a non-negative integer, a ``bool`` where a size or
+    seed is due, and ragged or string arrays raise the package's own
+    errors."""
     error, call = NON_INTEGER_INPUT[name]
     with pytest.raises(error):
         call(init_model(small_config()))

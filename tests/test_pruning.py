@@ -272,14 +272,19 @@ MALFORMED_INPUT = {
     "budget_ratio_string": lambda layout: retention_budget(layout.total, "x"),
     "top_p_lambda_string": lambda layout: stage1_top_p([1, 1, 1], "x"),
     "uniform_fill_fraction": lambda layout: stage2_uniform(layout, [0.7, 2.9], 0.5),
+    "two_stage_string": lambda layout: plan_two_stage(["a", "b", "c", "d"], layout, 0.5, 0.5),
+    "top_p_ragged": lambda layout: stage1_top_p([[1], [1, 2]], 0.5),
+    "temporal_string": lambda layout: plan_temporal_similarity([["x"] * 3] * 4, layout, 0.5),
+    "uniform_fill_ragged": lambda layout: stage2_uniform(layout, [[0], [1, 2]], 0.5),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_INPUT))
 def test_non_finite_input_rejected(name):
-    """Non-finite scores or embeddings, a random plan's seed that is not a
-    non-negative integer (a ``bool`` included), a ratio that is not a
-    number and a guided set that is not integers raise ``PlanError``."""
+    """Non-finite, string or ragged scores or embeddings, a random plan's
+    seed that is not a non-negative integer (a ``bool`` included), a ratio
+    that is not a number and a guided set that is not integers or is
+    ragged raise ``PlanError``."""
     with pytest.raises(PlanError):
         MALFORMED_INPUT[name](VideoLayout(2, 1, 2))
 
