@@ -29,9 +29,5 @@ class GuidanceError(VidspecError, ValueError):
     """Guidance extraction is undefined for the given capture/sequence pair."""
 
 
-class DegenerateScoresError(VidspecError, ValueError):
-    """All-zero guidance scores: Top-P retention is undefined."""
-
-
 class PlanError(VidspecError, ValueError):
     """Invalid pruning plan or plan applied to an already-pruned sequence."""

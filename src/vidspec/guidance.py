@@ -25,17 +25,16 @@ class GuidanceMatrix:
     """(n_language, n_video) attention mass, already averaged over layers/heads.
 
     Rows need not sum to one: language rows also attend to non-video keys.
+    Guidance is undefined without at least one language row.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
         values = float_array(self.values, 2, GuidanceError, "guidance matrix")
+        if values.shape[0] < 1:
+            raise GuidanceError("guidance is undefined without language query rows")
         object.__setattr__(self, "values", values)
-
-    @property
-    def n_language(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,6 @@ def extract_guidance(capture: np.ndarray, seq: MultimodalSequence) -> GuidanceMa
         raise GuidanceError(
             f"capture has shape {shape}, sequence needs {(seq.n_language, seq.n_video)}"
         )
-    if seq.n_language == 0:
-        raise GuidanceError("guidance is undefined without language query rows")
     if seq.is_pruned:
         raise GuidanceError("guidance is extracted from the unpruned prompt")
     return matrix
@@ -72,6 +69,4 @@ def extract_guidance(capture: np.ndarray, seq: MultimodalSequence) -> GuidanceMa
 
 def score_tokens(matrix: GuidanceMatrix) -> GuidanceScores:
     """Column means: average attention each video token received."""
-    if matrix.n_language < 1:
-        raise GuidanceError("at least one language row required")
     return GuidanceScores(matrix.values.mean(axis=0))

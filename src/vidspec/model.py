@@ -243,19 +243,22 @@ class Model:
                 raise SequenceError("token id input must be 1-D")
             if arr.size and (arr.min() < 0 or arr.max() >= self.config.vocab_size):
                 raise SequenceError("token id outside vocabulary")
-            return self.params["embed"][arr].astype(np.float64, copy=True)
+            return self.params["embed"][arr].astype(np.float64, copy=False)
         arr = float_array(np.atleast_2d(arr), 2, SequenceError, "embedding rows")
         if arr.shape[1] != d:
             raise SequenceError(f"embedding rows must have width {d}, got {arr.shape}")
         return arr.copy()
 
     def embed_sequence(self, seq: MultimodalSequence) -> np.ndarray:
-        parts = []
-        if seq.n_video:
-            parts.append(self.embed_items(seq.video_embeds))
-        if seq.n_language:
-            parts.append(self.embed_items(seq.language_tokens))
-        return np.concatenate(parts, axis=0)
+        """``seq``'s video rows (admitted by ``MultimodalSequence``) then its
+        token embeddings, as one new (len(seq), d_model) float64 array."""
+        tokens = self.embed_items(seq.language_tokens)
+        if not seq.n_video:
+            return tokens
+        d = self.config.d_model
+        if seq.video_embeds.shape[1] != d:
+            raise SequenceError(f"video rows must be {d} wide, got {seq.video_embeds.shape}")
+        return np.concatenate([seq.video_embeds, tokens])
 
     # -- forward passes ----------------------------------------------------
 
@@ -486,12 +489,15 @@ class Model:
     ) -> np.ndarray:
         """Verify a draft tree in one masked forward.
 
-        ``tree_mask[i, j]`` admits attention from node i to node j; each node
-        must see exactly itself plus its ancestors, and node positions must be
-        the next free position advanced by tree depth. The cache is extended by
-        all nodes; the caller rolls back the non-accepted ones.
+        The boolean ``tree_mask[i, j]`` admits attention from node i to node
+        j; each node must see exactly itself plus its ancestors, and node
+        positions must be the next free position advanced by tree depth. The
+        cache is extended by all nodes; the caller rolls back the non-accepted
+        ones.
         """
-        tree_mask = as_array(tree_mask, MaskError, "tree mask", dtype=bool)
+        tree_mask = as_array(tree_mask, MaskError, "tree mask")
+        if tree_mask.dtype != bool:
+            raise MaskError(f"tree mask must be boolean, got dtype {tree_mask.dtype}")
         depths = _tree_depths(tree_mask)
         emb, positions = self._block_input(cache, items, positions)
         if positions.shape[0] != depths.size:

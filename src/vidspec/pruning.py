@@ -9,20 +9,22 @@ over the spatially ordered leftovers. Baseline pruners (random, window,
 frame-drop, temporal-similarity, plain uniform, attention Top-K) share the
 same plan type and the same exact budget: round_half_away((1 - r) * n_video)
 retained tokens for every method.
+
+Zero total guidance mass is reached by the empty prefix, so Stage I keeps
+nothing and the two-stage plan is the uniform plan. A Stage I set over the
+budget gives way to the attention Top-K plan (the budget-long prefix of the
+same descending order, no uniform fill), marked ``stage1_truncated``.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateScoresError, PlanError
+from .errors import PlanError
 from .guidance import GuidanceScores
 from .sequence import MultimodalSequence, VideoLayout, check_integer, float_array, integer_array
-
-logger = logging.getLogger(__name__)
 
 WINDOW_ANCHORS = ("front", "middle", "end")
 
@@ -90,11 +92,20 @@ def _score_values(scores) -> np.ndarray:
     return values
 
 
+def _layout_scores(scores, layout: VideoLayout) -> np.ndarray:
+    """``_score_values``, and ``PlanError`` unless there is one per layout cell."""
+    values = _score_values(scores)
+    if values.shape[0] != layout.total:
+        raise PlanError(f"{values.shape[0]} scores for a {layout.total}-token layout")
+    return values
+
+
 def stage1_top_p(scores, lambda_r: float) -> np.ndarray:
     """Minimal descending-score prefix reaching lambda_r of the total mass.
 
-    Ties in score order break by ascending flat index. Returns ascending flat
-    indices. lambda_r = 0 keeps nothing; lambda_r = 1 keeps everything.
+    Ties in score order break by ascending flat index, and the empty prefix
+    counts. Returns ascending flat indices. lambda_r = 0 keeps nothing;
+    lambda_r = 1 keeps every token up to the last positive score.
     """
     _check_unit(lambda_r, "lambda_r")
     values = _score_values(scores)
@@ -103,10 +114,7 @@ def stage1_top_p(scores, lambda_r: float) -> np.ndarray:
     # against the same running total so the comparison is bit-consistent
     # with a sequential scan
     cum = np.concatenate([[0.0], np.cumsum(values[order])])
-    total = float(cum[-1])
-    if total <= 0.0:
-        raise DegenerateScoresError("all-zero guidance scores")
-    count = min(int(np.searchsorted(cum, lambda_r * total, side="left")), values.shape[0])
+    count = int(np.searchsorted(cum, lambda_r * float(cum[-1]), side="left"))
     return np.sort(order[:count])
 
 
@@ -130,25 +138,12 @@ def stage2_uniform(layout: VideoLayout, v_r, r: float) -> np.ndarray:
 
 
 def plan_two_stage(scores, layout: VideoLayout, r: float, lambda_r: float) -> PruningPlan:
-    """Guided Top-P retention, then spatially uniform fill, to the exact budget.
-
-    If Stage I overflows the budget it is truncated to the highest-scoring
-    tokens (ties by ascending index), which is the attention Top-K set and
-    leaves no uniform fill; the plan records the truncation. All-zero scores
-    fall back to the pure uniform plan with a logged warning.
-    """
-    values = _score_values(scores)
-    if values.shape[0] != layout.total:
-        raise PlanError(f"{values.shape[0]} scores for a {layout.total}-token layout")
-    k_total = retention_budget(layout.total, r)
-    if float(values.sum()) <= 0.0:
-        logger.warning("degenerate all-zero guidance; falling back to uniform pruning")
-        return plan_uniform(layout, r)
+    """Guided Top-P retention, then spatially uniform fill, to the exact budget;
+    the Top-K plan, marked truncated, when Stage I overflows the budget."""
+    values = _layout_scores(scores, layout)
     v_r = stage1_top_p(values, lambda_r)
-    if v_r.size > k_total:
-        # Stage I kept a descending-score prefix longer than the budget
-        v_r = np.sort(descending_order(values)[:k_total])
-        return PruningPlan(layout, v_r, [], stage1_truncated=True)
+    if v_r.size > retention_budget(layout.total, r):
+        return replace(plan_attention_top_k(values, layout, r), stage1_truncated=True)
     return PruningPlan(layout, v_r, stage2_uniform(layout, v_r, r))
 
 
@@ -161,9 +156,7 @@ def plan_uniform(layout: VideoLayout, r: float) -> PruningPlan:
 def plan_attention_top_k(scores, layout: VideoLayout, r: float) -> PruningPlan:
     """Guided stage alone under the same fixed budget: the K highest-scoring
     tokens, no uniform fill."""
-    values = _score_values(scores)
-    if values.shape[0] != layout.total:
-        raise PlanError(f"{values.shape[0]} scores for a {layout.total}-token layout")
+    values = _layout_scores(scores, layout)
     k_total = retention_budget(layout.total, r)
     v_r = np.sort(descending_order(values)[:k_total])
     return PruningPlan(layout, v_r, [])

@@ -20,11 +20,11 @@ import numpy as np
 from .errors import SequenceError
 
 
-def as_array(values, error: type[Exception], what: str, dtype=None) -> np.ndarray:
-    """``np.asarray(values, dtype)``; ``error`` where that fails, as for a
-    ragged nesting or a string ``dtype`` cannot parse."""
+def as_array(values, error: type[Exception], what: str) -> np.ndarray:
+    """``np.asarray(values)``; ``error`` where that fails, as for a ragged
+    nesting."""
     try:
-        return np.asarray(values, dtype=dtype)
+        return np.asarray(values)
     except (TypeError, ValueError) as exc:
         raise error(f"{what} is not a rectangular array of numbers: {exc}") from exc
 

@@ -60,11 +60,13 @@ class TestExtractGuidance:
         "capture_inf": lambda seq: extract_guidance(np.array([[0.1, np.inf], [0.1, 0.1]]), seq),
         "capture_string": lambda seq: extract_guidance([["a", "b"], ["c", "d"]], seq),
         "scores_inf": lambda seq: GuidanceScores([np.inf]),
+        "matrix_no_rows": lambda seq: GuidanceMatrix(np.zeros((0, 3))),
     }
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_GUIDANCE))
     def test_malformed_guidance_rejected(self, name):
-        """A capture or scores holding NaN, inf or strings raise ``GuidanceError``."""
+        """A capture or scores holding NaN, inf or strings, and a guidance
+        matrix without language rows, raise ``GuidanceError``."""
         with pytest.raises(GuidanceError):
             self.MALFORMED_GUIDANCE[name](video_seq(VideoLayout(1, 1, 2), 2))
 

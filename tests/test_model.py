@@ -280,6 +280,16 @@ class TestPrefill:
         assert sum(rows) == n_language
         assert np.array_equal(logits, model.forward_block(model.new_cache(), tokens, positions))
 
+    @pytest.mark.parametrize("n_language", [16, 0])
+    def test_video_rows_left_unchanged(self, n_language):
+        """The forward updates its embedded input in place; the sequence's
+        own video rows stay bitwise as they were, with or without tokens."""
+        model = init_model(small_config())
+        seq = random_prompt(model.config, n_language=n_language)
+        before = seq.video_embeds.tobytes()
+        model.prefill(seq)
+        assert seq.video_embeds.tobytes() == before
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_video_row_rejected(self, bad):
         model = init_model(small_config())
@@ -382,6 +392,14 @@ NON_INTEGER_INPUT = {
         MaskError,
         lambda m: m.forward_tree(m.new_cache(), [1, 2], [0, 1], [[True], [True, True]]),
     ),
+    "tree_mask_string": (
+        MaskError,
+        lambda m: m.forward_tree(m.new_cache(), [1, 2], [0, 1], [["a", ""], ["b", "c"]]),
+    ),
+    "tree_mask_float": (
+        MaskError,
+        lambda m: m.forward_tree(m.new_cache(), [1, 2], [0, 1], [[0.5, 0], [0.5, 0.2]]),
+    ),
 }
 
 
@@ -390,8 +408,8 @@ def test_malformed_input_raises_typed_error(name):
     """Non-integer positions, tokens, indices and layout sizes, 1-D video
     embeddings, a missing layout (also in ``MultimodalSequence.full``), a
     seed that is not a non-negative integer, a ``bool`` where a size or
-    seed is due, and ragged or string arrays raise the package's own
-    errors."""
+    seed is due, ragged or string arrays, and a tree mask that is not
+    boolean raise the package's own errors."""
     error, call = NON_INTEGER_INPUT[name]
     with pytest.raises(error):
         call(init_model(small_config()))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vidspec.errors import DegenerateScoresError, PlanError
+from vidspec.errors import PlanError
 from vidspec.guidance import GuidanceScores
 from vidspec.pruning import (
     PruningPlan,
@@ -58,15 +58,22 @@ class TestStage1TopP:
         a = np.array([0.3, 0.1, 0.6])
         assert set(stage1_top_p(a, 1.0).tolist()) == {0, 1, 2}
 
-    def test_all_zero_rejected(self):
-        with pytest.raises(DegenerateScoresError):
-            stage1_top_p(np.zeros(4), 0.5)
+    def test_zero_mass_keeps_nothing(self):
+        """Zero total mass is reached by the empty prefix, for every lambda."""
+        for lam in (0.0, 1e-300, 0.25, 0.5, 0.75, 1.0):
+            assert stage1_top_p(np.zeros(4), lam).size == 0
 
     def test_matches_brute_force_oracle(self):
+        """Uniform scores, scores with some or most entries zero (ties in the
+        zero tail), and all-zero scores."""
         rng = np.random.default_rng(123)
-        for _ in range(300):
+        for trial in range(400):
             n = int(rng.integers(1, 256))
             values = rng.uniform(size=n)
+            if trial % 4:
+                values[rng.uniform(size=n) < (trial % 4) / 4] = 0.0
+            if trial % 50 == 0:
+                values[:] = 0.0
             for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
                 got = set(stage1_top_p(values, lam).tolist())
                 assert got == brute_force_top_p(values.tolist(), lam)
@@ -174,11 +181,9 @@ class TestPlanTwoStage:
         np.testing.assert_array_equal(a.retained, b.retained)
         np.testing.assert_array_equal(a.v_r, b.v_r)
 
-    def test_degenerate_scores_fall_back_to_uniform(self, caplog):
+    def test_degenerate_scores_fall_back_to_uniform(self):
         layout = VideoLayout(1, 2, 4)
-        with caplog.at_level("WARNING", logger="vidspec.pruning"):
-            plan = plan_two_stage(np.zeros(8), layout, 0.5, 0.4)
-        assert "degenerate" in caplog.text
+        plan = plan_two_stage(np.zeros(8), layout, 0.5, 0.4)
         np.testing.assert_array_equal(plan.retained, plan_uniform(layout, 0.5).retained)
 
     def test_disjoint_union(self):
