@@ -36,7 +36,8 @@ from .errors import (
     RollbackError,
     SequenceError,
 )
-from .sequence import MultimodalSequence, as_array, check_integer, float_array, integer_array
+from .sequence import MultimodalSequence, as_array, check_integer, float_array
+from .sequence import index_array, integer_array
 
 _RMS_EPS = 1e-6
 _PREFILL_CHUNK = 512
@@ -155,13 +156,7 @@ class KvCache:
             if not 0 <= idx <= self.length:
                 raise RollbackError(f"keep={int(idx)} outside [0, {self.length}]")
             idx = np.arange(idx)
-        if idx.ndim != 1:
-            raise RollbackError("slot subset must be 1-D")
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= self.length:
-                raise RollbackError("slot subset outside live range")
-            if np.any(np.diff(idx) <= 0):
-                raise RollbackError("slot subset must be strictly increasing")
+        idx = index_array(idx, self.length, RollbackError, "slot subset")
         m = idx.size
         # idx is strictly increasing from >= 0, so idx[i] >= i and the slots
         # that stay where they are form a prefix; only the rest is gathered.
@@ -220,8 +215,15 @@ class Model:
             extra = set(params) - set(expected)
             raise ConfigError(f"parameter set mismatch: missing={missing} extra={extra}")
         for name, shape in expected.items():
-            if params[name].shape != shape:
-                raise ConfigError(f"{name}: expected shape {shape}, got {params[name].shape}")
+            w = params[name]
+            if not isinstance(w, np.ndarray) or w.dtype.kind != "f" or w.shape != shape:
+                got = f"{w.dtype} {w.shape}" if isinstance(w, np.ndarray) else type(w).__name__
+                raise ConfigError(f"{name}: expected a float array of shape {shape}, got {got}")
+            # every weight is a finite float array; the sum allocates nothing and is
+            # finite when every entry is, so only an overflowed sum reads the entries
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not (np.isfinite(w.sum()) or np.isfinite(w).all()):
+                    raise ConfigError(f"{name}: tensor holds NaN or inf")
         self.config = config
         self.params = params
 
@@ -450,8 +452,6 @@ class Model:
         row of a whole-sequence ``forward_block``.
         """
         n = len(seq)
-        if n == 0:
-            raise SequenceError("cannot prefill an empty sequence")
         emb = self.embed_sequence(seq)
         positions = seq.positions
         cache = self.new_cache(capacity=n + _CACHE_HEADROOM)
@@ -584,7 +584,8 @@ def load_checkpoint(path) -> Model:
     into its float64 weight, so at most one float32 tensor is alive at a
     time. A file of another version, a malformed header, a data section
     whose length is not the config's, checked before any weight is
-    allocated, and a tensor holding NaN or inf raise ``ConfigError``.
+    allocated, raise ``ConfigError``; so does a tensor holding NaN or inf,
+    which ``Model`` rejects for every model.
     """
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
@@ -620,8 +621,4 @@ def load_checkpoint(path) -> Model:
             if raw.readinto(arr) != arr.nbytes:
                 raise ConfigError(f"{name}: tensor data cut short")
             weights[name][...] = arr
-            # finite float32 values cannot overflow a float64 sum, so the sum
-            # is finite exactly when every entry is (and allocates nothing)
-            if not np.isfinite(weights[name].sum()):
-                raise ConfigError(f"{name}: tensor holds NaN or inf")
     return Model(config, weights)

@@ -7,8 +7,8 @@ mass reaches a threshold fraction lambda_r of the total; Stage II fills the
 remaining retention budget by evenly spaced selection (ranks floor(k*M/K_U))
 over the spatially ordered leftovers. Baseline pruners (random, window,
 frame-drop, temporal-similarity, plain uniform, attention Top-K) share the
-same plan type and the same exact budget: round_half_away((1 - r) * n_video)
-retained tokens for every method.
+same plan type and the same exact budget: floor((1 - r) * n_video + 0.5)
+retained tokens for every method (halves round up).
 
 Zero total guidance mass is reached by the empty prefix, so Stage I keeps
 nothing and the two-stage plan is the uniform plan. A Stage I set over the
@@ -24,25 +24,21 @@ import numpy as np
 
 from .errors import PlanError
 from .guidance import GuidanceScores
-from .sequence import MultimodalSequence, VideoLayout, check_integer, float_array, integer_array
+from .sequence import MultimodalSequence, VideoLayout, check_integer, float_array, index_array
 
 WINDOW_ANCHORS = ("front", "middle", "end")
 
 
-def round_half_away(x: float) -> int:
-    """round() with halves away from zero, fixed across platforms."""
-    return int(np.floor(x + 0.5)) if x >= 0 else -int(np.floor(-x + 0.5))
-
-
 def _check_unit(value, what: str) -> None:
-    """``PlanError`` unless ``value`` is a real number in [0, 1]."""
-    if not isinstance(value, (int, float, np.integer, np.floating)) or not 0.0 <= value <= 1.0:
+    """``PlanError`` unless ``value`` is a real number in [0, 1], not a ``bool``."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not real or not 0.0 <= value <= 1.0:
         raise PlanError(f"{what} must lie in [0, 1], got {value!r}")
 
 
 def retention_budget(n_video: int, r: float) -> int:
     _check_unit(r, "pruning ratio")
-    return round_half_away((1.0 - r) * n_video)
+    return int(np.floor((1.0 - r) * n_video + 0.5))
 
 
 @dataclass(frozen=True)
@@ -56,15 +52,8 @@ class PruningPlan:
     stage1_truncated: bool = False
 
     def __post_init__(self):
-        v_r = integer_array(self.v_r, PlanError, "v_r")
-        v_u = integer_array(self.v_u, PlanError, "v_u")
-        for name, arr in (("v_r", v_r), ("v_u", v_u)):
-            if arr.ndim != 1:
-                raise PlanError(f"{name} must be 1-D")
-            if arr.size and (arr.min() < 0 or arr.max() >= self.layout.total):
-                raise PlanError(f"{name} index outside layout")
-            if arr.size > 1 and np.any(np.diff(arr) <= 0):
-                raise PlanError(f"{name} must be strictly increasing")
+        v_r = index_array(self.v_r, self.layout.total, PlanError, "v_r")
+        v_u = index_array(self.v_u, self.layout.total, PlanError, "v_u")
         if np.intersect1d(v_r, v_u).size:
             raise PlanError("guided and uniform sets overlap")
         object.__setattr__(self, "v_r", v_r)
@@ -89,6 +78,9 @@ def _score_values(scores) -> np.ndarray:
     values = float_array(values, 1, PlanError, "scores")
     if np.any(values < 0):
         raise PlanError("scores must be nonnegative")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(values.sum()):
+            raise PlanError("scores must have a finite total")
     return values
 
 
@@ -126,7 +118,7 @@ def stage2_uniform(layout: VideoLayout, v_r, r: float) -> np.ndarray:
     arithmetic, so the spacing between consecutive picks is floor(M/K_U) or
     ceil(M/K_U)).
     """
-    v_r = integer_array(v_r, PlanError, "v_r")
+    v_r = index_array(v_r, layout.total, PlanError, "v_r")
     k_total = retention_budget(layout.total, r)
     k_uniform = k_total - v_r.size
     if k_uniform <= 0:

@@ -5,10 +5,11 @@ with none of its cells present. A sequence keeps the *original* position index
 of every item. Pruning removes video items but never re-indexes the survivors,
 so rotary encodings downstream see the same positions as the unpruned prompt.
 
-Outside arrays enter the package through ``as_array`` and the two checks built
-on it, ``integer_array`` and ``float_array``: a ragged array, a wrong dtype or
-rank, or (for floats) a NaN or inf raises the caller's typed error, never a
-bare ``ValueError``.
+Outside arrays enter the package through ``as_array`` and the checks built on
+it: ``integer_array``, ``float_array``, and ``index_array`` for every set of
+kept indices (video indices, a plan's V_R and V_U, rollback slots). A ragged
+array, a wrong dtype or rank, a NaN or inf float, or an index set out of range
+or order raises the caller's typed error, never a bare ``ValueError``.
 """
 
 from __future__ import annotations
@@ -49,6 +50,17 @@ def float_array(values, ndim: int, error: type[Exception], what: str) -> np.ndar
     arr = arr.astype(np.float64, copy=False)
     if not np.isfinite(arr).all():
         raise error(f"{what} must be finite")
+    return arr
+
+
+def index_array(values, bound: int, error: type[Exception], what: str) -> np.ndarray:
+    """``values`` as a 1-D int64 array of strictly increasing indices in
+    ``[0, bound)``; ``error`` otherwise."""
+    arr = integer_array(values, error, what)
+    if arr.ndim != 1:
+        raise error(f"{what} must be 1-D, got shape {arr.shape}")
+    if arr.size and (arr[0] < 0 or arr[-1] >= bound or np.any(np.diff(arr) <= 0)):
+        raise error(f"{what} must be strictly increasing within [0, {bound})")
     return arr
 
 
@@ -103,19 +115,14 @@ class MultimodalSequence:
     def __post_init__(self):
         _check_layout(self.layout)
         embeds = float_array(self.video_embeds, 2, SequenceError, "video embeddings")
-        indices = integer_array(self.video_indices, SequenceError, "video indices")
+        indices = index_array(self.video_indices, self.layout.total, SequenceError, "video indices")
         tokens = integer_array(self.language_tokens, SequenceError, "language tokens")
-        if indices.ndim != 1 or tokens.ndim != 1:
-            raise SequenceError("video_indices and language_tokens must be 1-D")
+        if tokens.ndim != 1:
+            raise SequenceError("language_tokens must be 1-D")
         if embeds.shape[0] != indices.shape[0]:
             raise SequenceError(
                 f"{embeds.shape[0]} video embeddings but {indices.shape[0]} indices"
             )
-        if indices.size:
-            if indices[0] < 0 or indices[-1] >= self.layout.total:
-                raise SequenceError("video index outside layout")
-            if np.any(np.diff(indices) <= 0):
-                raise SequenceError("video indices must be strictly increasing")
         if tokens.size and tokens.min() < 0:
             raise SequenceError("negative language token id")
         if indices.size + tokens.size == 0:

@@ -1,5 +1,7 @@
 """Pruning plans: the two-stage method, every baseline, and plan application."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from vidspec.pruning import (
     plan_uniform,
     plan_window,
     retention_budget,
-    round_half_away,
     stage1_top_p,
     stage2_uniform,
 )
@@ -281,15 +282,20 @@ MALFORMED_INPUT = {
     "top_p_ragged": lambda layout: stage1_top_p([[1], [1, 2]], 0.5),
     "temporal_string": lambda layout: plan_temporal_similarity([["x"] * 3] * 4, layout, 0.5),
     "uniform_fill_ragged": lambda layout: stage2_uniform(layout, [[0], [1, 2]], 0.5),
+    "top_p_sum_overflow": lambda layout: stage1_top_p([1e308, 1e308, 1, 1], 0.0),
+    "two_stage_sum_overflow": lambda layout: plan_two_stage([1e308, 1e308, 1, 1], layout, 0.5, 0.5),
+    "budget_ratio_bool": lambda layout: retention_budget(layout.total, True),
+    "top_p_lambda_bool": lambda layout: stage1_top_p([1, 1, 1], True),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_INPUT))
 def test_non_finite_input_rejected(name):
-    """Non-finite, string or ragged scores or embeddings, a random plan's
-    seed that is not a non-negative integer (a ``bool`` included), a ratio
-    that is not a number and a guided set that is not integers or is
-    ragged raise ``PlanError``."""
+    """Non-finite, string or ragged scores or embeddings, scores whose total
+    overflows float64, a random plan's seed that is not a non-negative
+    integer (a ``bool`` included), a ratio or lambda_r that is not a number
+    or is a ``bool``, and a guided set that is not integers or is ragged
+    raise ``PlanError``."""
     with pytest.raises(PlanError):
         MALFORMED_INPUT[name](VideoLayout(2, 1, 2))
 
@@ -303,7 +309,7 @@ class TestBudgetExactness:
             )
             r = float(rng.uniform(0, 1))
             k = retention_budget(layout.total, r)
-            assert k == round_half_away((1 - r) * layout.total)
+            assert k == math.floor((1 - r) * layout.total + 0.5)
             scores = rng.uniform(size=layout.total)
             embeds = rng.normal(size=(layout.total, 4))
             plans = {
