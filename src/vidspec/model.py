@@ -4,7 +4,8 @@ Architecture (documented because nothing upstream pins it): pre-norm RMSNorm
 blocks, rotary position encoding applied per item at its *original* position
 index, SiLU feed-forward with a 4x hidden width, untied output head. All
 arithmetic runs in float64; weights are drawn in float32 and widened, so a
-float32 checkpoint round-trips bit-exactly.
+float32 checkpoint round-trips bit-exactly. ``Model`` refuses weights of any
+dtype other than float64.
 
 Incremental decoding, batched causal continuation and tree-masked forwards all
 share one attention core (`_hidden`), which is why their outputs agree to
@@ -116,9 +117,7 @@ class KvCache:
     @property
     def max_position(self) -> int:
         """Largest position tag among live slots, -1 when empty."""
-        if self.length == 0:
-            return -1
-        return int(self.pos[: self.length].max())
+        return int(self.pos[: self.length].max(initial=-1))
 
     def _resized(self, capacity: int) -> "KvCache":
         """A new cache of ``capacity`` slots holding a copy of the live slots.
@@ -216,10 +215,10 @@ class Model:
             raise ConfigError(f"parameter set mismatch: missing={missing} extra={extra}")
         for name, shape in expected.items():
             w = params[name]
-            if not isinstance(w, np.ndarray) or w.dtype.kind != "f" or w.shape != shape:
+            if not isinstance(w, np.ndarray) or w.dtype != np.float64 or w.shape != shape:
                 got = f"{w.dtype} {w.shape}" if isinstance(w, np.ndarray) else type(w).__name__
-                raise ConfigError(f"{name}: expected a float array of shape {shape}, got {got}")
-            # every weight is a finite float array; the sum allocates nothing and is
+                raise ConfigError(f"{name}: expected a float64 array of shape {shape}, got {got}")
+            # every weight is a finite float64 array; the sum allocates nothing and is
             # finite when every entry is, so only an overflowed sum reads the entries
             with np.errstate(over="ignore", invalid="ignore"):
                 if not (np.isfinite(w.sum()) or np.isfinite(w).all()):
@@ -245,7 +244,7 @@ class Model:
                 raise SequenceError("token id input must be 1-D")
             if arr.size and (arr.min() < 0 or arr.max() >= self.config.vocab_size):
                 raise SequenceError("token id outside vocabulary")
-            return self.params["embed"][arr].astype(np.float64, copy=False)
+            return self.params["embed"][arr]
         arr = float_array(np.atleast_2d(arr), 2, SequenceError, "embedding rows")
         if arr.shape[1] != d:
             raise SequenceError(f"embedding rows must have width {d}, got {arr.shape}")

@@ -4,11 +4,14 @@ A plan is its two disjoint sets of retained flat video indices: the guided
 set V_R and the uniform set V_U. The guided method runs two stages: Stage I
 keeps the smallest set of highest-scoring tokens whose cumulative guidance
 mass reaches a threshold fraction lambda_r of the total; Stage II fills the
-remaining retention budget by evenly spaced selection (ranks floor(k*M/K_U))
-over the spatially ordered leftovers. Baseline pruners (random, window,
-frame-drop, temporal-similarity, plain uniform, attention Top-K) share the
-same plan type and the same exact budget: floor((1 - r) * n_video + 0.5)
-retained tokens for every method (halves round up).
+remaining retention budget by the even spread over the spatially ordered
+leftovers, and frame drop spreads its kept frames the same way: K picks over
+M ordered items take ranks floor(i * M / K), i = 0..K-1, in exact integer
+arithmetic (consecutive picks lie floor(M/K) or ceil(M/K) apart; K <= 0 picks
+nothing). Baseline pruners (random, window, frame-drop, temporal-similarity,
+plain uniform, attention Top-K) share the same plan type and the same exact
+budget: floor((1 - r) * n_video + 0.5) retained tokens for every method
+(halves round up).
 
 Zero total guidance mass is reached by the empty prefix, so Stage I keeps
 nothing and the two-stage plan is the uniform plan. A Stage I set over the
@@ -24,7 +27,8 @@ import numpy as np
 
 from .errors import PlanError
 from .guidance import GuidanceScores
-from .sequence import MultimodalSequence, VideoLayout, check_integer, float_array, index_array
+from .sequence import MultimodalSequence, VideoLayout, check_integer, check_type, float_array
+from .sequence import index_array
 
 WINDOW_ANCHORS = ("front", "middle", "end")
 
@@ -41,6 +45,17 @@ def retention_budget(n_video: int, r: float) -> int:
     return int(np.floor((1.0 - r) * n_video + 0.5))
 
 
+def _budget(layout: VideoLayout, r: float) -> int:
+    """``layout``'s retention budget; ``PlanError`` unless it is a ``VideoLayout``."""
+    check_type(layout, VideoLayout, PlanError, "layout")
+    return retention_budget(layout.total, r)
+
+
+def _spread(k: int, m: int) -> np.ndarray:
+    """The even spread's ranks: K = ``k`` picks over ``m`` items."""
+    return (np.arange(k, dtype=np.int64) * m) // k
+
+
 @dataclass(frozen=True)
 class PruningPlan:
     """Retained flat video-token indices, split into the guided set and the
@@ -52,6 +67,7 @@ class PruningPlan:
     stage1_truncated: bool = False
 
     def __post_init__(self):
+        check_type(self.layout, VideoLayout, PlanError, "layout")
         v_r = index_array(self.v_r, self.layout.total, PlanError, "v_r")
         v_u = index_array(self.v_u, self.layout.total, PlanError, "v_u")
         if np.intersect1d(v_r, v_u).size:
@@ -106,35 +122,26 @@ def stage1_top_p(scores, lambda_r: float) -> np.ndarray:
     # against the same running total so the comparison is bit-consistent
     # with a sequential scan
     cum = np.concatenate([[0.0], np.cumsum(values[order])])
-    count = int(np.searchsorted(cum, lambda_r * float(cum[-1]), side="left"))
+    count = int(np.searchsorted(cum, float(lambda_r) * float(cum[-1]), side="left"))
     return np.sort(order[:count])
 
 
 def stage2_uniform(layout: VideoLayout, v_r, r: float) -> np.ndarray:
-    """Fill the budget with evenly spaced picks over the non-guided leftovers.
-
-    With K = budget, K_U = K - |v_r| and M leftovers in ascending flat order,
-    pick the leftovers at ranks floor(k * M / K_U), k = 0..K_U-1 (exact integer
-    arithmetic, so the spacing between consecutive picks is floor(M/K_U) or
-    ceil(M/K_U)).
-    """
+    """The budget's remaining K - |v_r| picks, spread evenly over the
+    non-guided leftovers in ascending flat order; none when |v_r| >= K."""
+    k_total = _budget(layout, r)
     v_r = index_array(v_r, layout.total, PlanError, "v_r")
-    k_total = retention_budget(layout.total, r)
-    k_uniform = k_total - v_r.size
-    if k_uniform <= 0:
-        return np.zeros(0, dtype=np.int64)
     remaining = np.setdiff1d(np.arange(layout.total, dtype=np.int64), v_r)
-    m = remaining.shape[0]
-    ranks = (np.arange(k_uniform, dtype=np.int64) * m) // k_uniform
-    return remaining[ranks]
+    return remaining[_spread(k_total - v_r.size, remaining.size)]
 
 
 def plan_two_stage(scores, layout: VideoLayout, r: float, lambda_r: float) -> PruningPlan:
     """Guided Top-P retention, then spatially uniform fill, to the exact budget;
     the Top-K plan, marked truncated, when Stage I overflows the budget."""
+    k_total = _budget(layout, r)
     values = _layout_scores(scores, layout)
     v_r = stage1_top_p(values, lambda_r)
-    if v_r.size > retention_budget(layout.total, r):
+    if v_r.size > k_total:
         return replace(plan_attention_top_k(values, layout, r), stage1_truncated=True)
     return PruningPlan(layout, v_r, stage2_uniform(layout, v_r, r))
 
@@ -148,47 +155,39 @@ def plan_uniform(layout: VideoLayout, r: float) -> PruningPlan:
 def plan_attention_top_k(scores, layout: VideoLayout, r: float) -> PruningPlan:
     """Guided stage alone under the same fixed budget: the K highest-scoring
     tokens, no uniform fill."""
+    k_total = _budget(layout, r)
     values = _layout_scores(scores, layout)
-    k_total = retention_budget(layout.total, r)
     v_r = np.sort(descending_order(values)[:k_total])
     return PruningPlan(layout, v_r, [])
 
 
 def plan_random(layout: VideoLayout, r: float, seed: int) -> PruningPlan:
     check_integer(seed, 0, PlanError, "seed")
-    k_total = retention_budget(layout.total, r)
+    k_total = _budget(layout, r)
     rng = np.random.default_rng(seed)
     retained = np.sort(rng.choice(layout.total, size=k_total, replace=False))
     return PruningPlan(layout, [], retained)
 
 
 def plan_window(layout: VideoLayout, r: float, anchor: str) -> PruningPlan:
-    """K contiguous flat indices at the front, middle or end of the grid."""
+    """K contiguous flat indices at the front, middle or end of the grid: the
+    anchor's place in ``WINDOW_ANCHORS`` starts the window at 0, 1/2 or 1 of
+    the slack ``total - K``, rounded down."""
     if anchor not in WINDOW_ANCHORS:
         raise PlanError(f"anchor must be one of {WINDOW_ANCHORS}, got {anchor!r}")
-    k_total = retention_budget(layout.total, r)
-    if anchor == "front":
-        start = 0
-    elif anchor == "end":
-        start = layout.total - k_total
-    else:
-        start = (layout.total - k_total) // 2
+    k_total = _budget(layout, r)
+    start = (layout.total - k_total) * WINDOW_ANCHORS.index(anchor) // 2
     retained = np.arange(start, start + k_total, dtype=np.int64)
     return PruningPlan(layout, [], retained)
 
 
 def plan_frame_drop(layout: VideoLayout, r: float) -> PruningPlan:
-    """Keep ceil((1-r)*F) whole frames at evenly spaced frame ranks, then trim
-    trailing tokens of the last kept frame down to the exact budget."""
-    k_total = retention_budget(layout.total, r)
-    n_frames = int(np.ceil((1.0 - r) * layout.frames))
-    if n_frames == 0:
-        retained = np.zeros(0, dtype=np.int64)
-    else:
-        frame_ranks = (np.arange(n_frames, dtype=np.int64) * layout.frames) // n_frames
-        per_frame = np.arange(layout.frame_size, dtype=np.int64)
-        retained = (frame_ranks[:, None] * layout.frame_size + per_frame[None, :]).reshape(-1)
-        retained = retained[:k_total]
+    """Keep ceil((1-r)*F) whole frames spread evenly over the F frames, then
+    trim trailing tokens of the last kept frame down to the exact budget."""
+    k_total = _budget(layout, r)
+    frames = _spread(int(np.ceil((1.0 - r) * layout.frames)), layout.frames)
+    per_frame = np.arange(layout.frame_size, dtype=np.int64)
+    retained = (frames[:, None] * layout.frame_size + per_frame).reshape(-1)[:k_total]
     return PruningPlan(layout, [], retained)
 
 
@@ -196,37 +195,34 @@ def plan_temporal_similarity(embeddings, layout: VideoLayout, r: float) -> Pruni
     """Drop the tokens most cosine-similar to the same spatial cell one frame
     earlier, until the budget is met.
 
-    Frame-0 cells are never candidates for this rule; ties break by ascending
-    flat index (so equal-similarity candidates drop lowest-index first). If the
-    budget is smaller than one frame, frame-0 cells are trimmed
-    highest-index-first after every candidate is gone.
+    The drop order is the later frames' cells by descending similarity (ties
+    by ascending flat index, so equal-similarity candidates drop lowest-index
+    first), then the frame-0 cells highest-index first; the plan drops its
+    first ``total - K`` entries, so a budget below one frame trims frame 0.
     """
+    k_total = _budget(layout, r)
     embeddings = float_array(embeddings, 2, PlanError, "embeddings")
     if embeddings.shape[0] != layout.total:
         raise PlanError(
             f"embeddings of shape {embeddings.shape} for a {layout.total}-token layout"
         )
-    k_total = retention_budget(layout.total, r)
-    n_drop = layout.total - k_total
     grid = embeddings.reshape(layout.frames, layout.frame_size, -1)
     cur, prev = grid[1:], grid[:-1]
     norms = np.linalg.norm(cur, axis=-1) * np.linalg.norm(prev, axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
         sims = np.where(norms > 0, np.einsum("fsd,fsd->fs", cur, prev) / norms, 0.0)
     candidates = np.arange(layout.frame_size, layout.total, dtype=np.int64)
-    drop_order = candidates[descending_order(sims.reshape(-1))]
-    dropped = drop_order[:n_drop]
-    if n_drop > drop_order.size:
-        overflow = n_drop - drop_order.size
-        frame0 = np.arange(layout.frame_size - 1, layout.frame_size - 1 - overflow, -1)
-        dropped = np.concatenate([drop_order, frame0])
-    retained = np.setdiff1d(np.arange(layout.total, dtype=np.int64), dropped)
+    frame0 = np.arange(layout.frame_size - 1, -1, -1, dtype=np.int64)
+    drop_order = np.concatenate([candidates[descending_order(sims.reshape(-1))], frame0])
+    retained = np.setdiff1d(np.arange(layout.total, dtype=np.int64), drop_order[: layout.total - k_total])
     return PruningPlan(layout, [], retained)
 
 
 def apply_plan(seq: MultimodalSequence, plan: PruningPlan) -> MultimodalSequence:
     """Drop the video items outside the plan; survivors keep their embeddings
     and original positions, language items are untouched."""
+    check_type(seq, MultimodalSequence, PlanError, "sequence")
+    check_type(plan, PruningPlan, PlanError, "plan")
     if seq.layout != plan.layout:
         raise PlanError(f"plan layout {plan.layout} != sequence layout {seq.layout}")
     if seq.is_pruned:

@@ -71,9 +71,10 @@ def check_integer(value, minimum: int, error: type[Exception], what: str) -> Non
         raise error(f"{what} must be an integer >= {minimum}, got {value!r}")
 
 
-def _check_layout(layout) -> None:
-    if not isinstance(layout, VideoLayout):
-        raise SequenceError(f"layout must be a VideoLayout, got {layout!r}")
+def check_type(value, kind: type, error: type[Exception], what: str) -> None:
+    """``error`` unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise error(f"{what} must be a {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ class MultimodalSequence:
     _positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_layout(self.layout)
+        check_type(self.layout, VideoLayout, SequenceError, "layout")
         embeds = float_array(self.video_embeds, 2, SequenceError, "video embeddings")
         indices = index_array(self.video_indices, self.layout.total, SequenceError, "video indices")
         tokens = integer_array(self.language_tokens, SequenceError, "language tokens")
@@ -143,7 +144,7 @@ class MultimodalSequence:
         language_tokens: np.ndarray,
     ) -> "MultimodalSequence":
         """Unpruned prompt: one embedding per layout cell, in flat order."""
-        _check_layout(layout)
+        check_type(layout, VideoLayout, SequenceError, "layout")
         return cls(layout, video_embeds, np.arange(layout.total, dtype=np.int64), language_tokens)
 
     @property

@@ -1,4 +1,4 @@
-"""Every public name has a caller."""
+"""Every name has a caller."""
 
 import ast
 from pathlib import Path
@@ -11,9 +11,10 @@ CALLER_FILES = sorted((ROOT / "src" / "vidspec").glob("*.py")) + sorted(
 )
 
 
-def public_definitions(tree: ast.Module) -> list[str]:
-    """Public top-level functions, classes and constants, and the public
-    methods of top-level classes, by name."""
+def definitions(tree: ast.Module) -> list[str]:
+    """Top-level functions, classes and constants, and the methods of
+    top-level classes, by name; dunder names, which Python calls itself, are
+    left out."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -24,7 +25,7 @@ def public_definitions(tree: ast.Module) -> list[str]:
             names += [t.id for t in node.targets if isinstance(t, ast.Name)]
         if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
-    return [name for name in names if not name.startswith("_")]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
 
 
 def references(tree: ast.Module) -> set[str]:
@@ -40,15 +41,16 @@ def references(tree: ast.Module) -> set[str]:
 
 
 def test_every_public_name_has_a_caller():
-    """Each public function, class, constant and method of the package or
-    the benchmark is read somewhere in the package or the benchmark, so no
-    name (an error type included) outlives its last caller."""
+    """Each public or private function, class, constant and method of the
+    package or the benchmark is read somewhere in the package or the
+    benchmark, so no name (an error type or a private helper included)
+    outlives its last caller."""
     trees = {path: ast.parse(path.read_text()) for path in CALLER_FILES}
     called = set().union(*(references(tree) for tree in trees.values()))
     defined = [
         f"{path.relative_to(ROOT)}:{name}"
         for path, tree in trees.items()
-        for name in public_definitions(tree)
+        for name in definitions(tree)
     ]
     uncalled = [entry for entry in defined if entry.rsplit(":", 1)[1] not in called]
     assert defined and not uncalled

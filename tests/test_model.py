@@ -101,11 +101,17 @@ class TestInit:
             lambda w: w.astype(np.complex128),
             lambda w: w.astype(np.int64),
             lambda w: w.tolist(),
+            lambda w: w.astype(np.float32),
+            lambda w: w.astype(np.float16),
+            lambda w: w.astype(np.longdouble),
         ],
-        ids=["nan", "inf", "inf_minus_inf", "complex", "int", "list"],
+        ids=[
+            "nan", "inf", "inf_minus_inf", "complex", "int", "list",
+            "float32", "float16", "longdouble",
+        ],
     )
     def test_malformed_weight_rejected(self, bad):
-        """A weight that is not a floating ndarray, or holds NaN or inf,
+        """A weight that is not a float64 ndarray, or holds NaN or inf,
         raises ``ConfigError`` when a ``Model`` is built from it directly,
         as ``TestCheckpoint::test_non_finite_tensor_rejected`` does through a
         checkpoint."""
@@ -756,6 +762,15 @@ class TestRollback:
         before = out.cache.pos[: out.cache.length].copy()
         out.cache.rollback(out.cache.length)
         assert np.array_equal(out.cache.pos[: out.cache.length], before)
+
+    def test_max_position_of_an_empty_cache(self):
+        """-1 on a new cache and on one rolled back to nothing."""
+        model = init_model(small_config())
+        cache = model.new_cache()
+        assert cache.max_position == -1
+        cache = model.prefill(random_prompt(model.config)).cache
+        cache.rollback(0)
+        assert cache.max_position == -1
 
     def test_rollback_zero_then_refill(self):
         model = init_model(small_config())

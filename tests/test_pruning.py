@@ -1,5 +1,6 @@
 """Pruning plans: the two-stage method, every baseline, and plan application."""
 
+import itertools
 import math
 
 import numpy as np
@@ -91,6 +92,12 @@ class TestStage1TopP:
         a = np.array([0.25, 0.25, 0.25, 0.25])
         assert stage1_top_p(a, 0.5).tolist() == [0, 1]
 
+    def test_float32_lambda_on_a_total_beyond_float32(self):
+        """The threshold is taken in float64 whatever lambda_r's dtype, so a
+        score total beyond float32's range does not overflow it."""
+        for lam in (np.float32(0.5), 0.5):
+            assert stage1_top_p([1e39, 1, 1], lam).tolist() == [0]
+
 
 class TestStage2Uniform:
     def test_hand_case(self):
@@ -104,9 +111,11 @@ class TestStage2Uniform:
         assert v_u.tolist() == [0, 1, 3, 5, 6, 7, 8, 9]
 
     def test_saturated_guided_set_leaves_nothing(self):
+        """A guided set over the budget of 4, or exactly filling it."""
         layout = VideoLayout(1, 2, 4)
-        v_u = stage2_uniform(layout, np.arange(6), 0.5)  # budget 4 < |v_r|
-        assert v_u.size == 0
+        for v_r in (np.arange(6), [1, 3, 5, 6]):
+            v_u = stage2_uniform(layout, v_r, 0.5)
+            assert v_u.dtype == np.int64 and v_u.shape == (0,)
 
     def test_spacing_is_floor_or_ceil(self):
         rng = np.random.default_rng(7)
@@ -251,6 +260,13 @@ class TestBaselinePlanners:
         # all similarities zero: candidates (flats 2..5) drop ascending
         assert plan.retained.tolist() == [0, 1, 5]
 
+    def test_temporal_budget_below_one_frame_trims_frame_zero(self):
+        """Every candidate drops first, then frame 0 highest index first."""
+        layout = VideoLayout(2, 1, 4)
+        embeds = np.array([[1, 0], [1, 0], [1, 0], [1, 0], [1, 0], [1, 1], [0, 1], [-1, 0]])
+        plan = plan_temporal_similarity(embeds, layout, 0.75)  # budget 2
+        assert plan.retained.tolist() == [0, 1]
+
     def test_temporal_r_zero_identity(self):
         layout = VideoLayout(2, 2, 2)
         embeds = np.random.default_rng(17).normal(size=(8, 5))
@@ -286,6 +302,19 @@ MALFORMED_INPUT = {
     "two_stage_sum_overflow": lambda layout: plan_two_stage([1e308, 1e308, 1, 1], layout, 0.5, 0.5),
     "budget_ratio_bool": lambda layout: retention_budget(layout.total, True),
     "top_p_lambda_bool": lambda layout: stage1_top_p([1, 1, 1], True),
+    "plan_layout_none": lambda layout: PruningPlan(None, [], []),
+    "two_stage_layout_none": lambda layout: plan_two_stage([1, 1, 1, 1], None, 0.5, 0.5),
+    "uniform_layout_none": lambda layout: plan_uniform(None, 0.5),
+    "attention_top_k_layout_none": lambda layout: plan_attention_top_k([1, 1, 1, 1], None, 0.5),
+    "random_layout_none": lambda layout: plan_random(None, 0.5, 1),
+    "window_layout_none": lambda layout: plan_window(None, 0.5, "front"),
+    "frame_drop_layout_none": lambda layout: plan_frame_drop(None, 0.5),
+    "temporal_layout_none": lambda layout: plan_temporal_similarity(np.ones((4, 3)), None, 0.5),
+    "uniform_fill_layout_none": lambda layout: stage2_uniform(None, [], 0.5),
+    "apply_plan_none": lambda layout: apply_plan(
+        MultimodalSequence.full(layout, np.ones((layout.total, 3)), [0]), None
+    ),
+    "apply_sequence_none": lambda layout: apply_plan(None, plan_uniform(layout, 0.5)),
 }
 
 
@@ -294,8 +323,9 @@ def test_non_finite_input_rejected(name):
     """Non-finite, string or ragged scores or embeddings, scores whose total
     overflows float64, a random plan's seed that is not a non-negative
     integer (a ``bool`` included), a ratio or lambda_r that is not a number
-    or is a ``bool``, and a guided set that is not integers or is ragged
-    raise ``PlanError``."""
+    or is a ``bool``, a guided set that is not integers or is ragged, a
+    layout that is not a ``VideoLayout`` and a plan that is not a
+    ``PruningPlan`` raise ``PlanError``."""
     with pytest.raises(PlanError):
         MALFORMED_INPUT[name](VideoLayout(2, 1, 2))
 
@@ -303,11 +333,11 @@ def test_non_finite_input_rejected(name):
 class TestBudgetExactness:
     def test_every_method_hits_round_half_away_budget(self):
         rng = np.random.default_rng(99)
-        for _ in range(120):
+        for _, r in itertools.product(range(120), (0.0, 1.0, None)):
             layout = VideoLayout(
                 int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 6))
             )
-            r = float(rng.uniform(0, 1))
+            r = float(rng.uniform(0, 1)) if r is None else r
             k = retention_budget(layout.total, r)
             assert k == math.floor((1 - r) * layout.total + 0.5)
             scores = rng.uniform(size=layout.total)
