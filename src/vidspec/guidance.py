@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GuidanceError
-from .sequence import MultimodalSequence, float_array
+from .sequence import MultimodalSequence, check_type, float_array
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,7 @@ def extract_guidance(capture: np.ndarray, seq: MultimodalSequence) -> GuidanceMa
     heads. It must be a finite array of shape ``(seq.n_language, seq.n_video)``,
     with at least one language row, and ``seq`` must be the unpruned prompt.
     """
+    check_type(seq, MultimodalSequence, GuidanceError, "sequence")
     matrix = GuidanceMatrix(capture)
     shape = matrix.values.shape
     if shape != (seq.n_language, seq.n_video):
@@ -69,4 +70,5 @@ def extract_guidance(capture: np.ndarray, seq: MultimodalSequence) -> GuidanceMa
 
 def score_tokens(matrix: GuidanceMatrix) -> GuidanceScores:
     """Column means: average attention each video token received."""
+    check_type(matrix, GuidanceMatrix, GuidanceError, "guidance matrix")
     return GuidanceScores(matrix.values.mean(axis=0))

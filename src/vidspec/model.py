@@ -37,7 +37,7 @@ from .errors import (
     RollbackError,
     SequenceError,
 )
-from .sequence import MultimodalSequence, as_array, check_integer, float_array
+from .sequence import MultimodalSequence, as_array, check_integer, check_type
 from .sequence import index_array, integer_array
 
 _RMS_EPS = 1e-6
@@ -103,7 +103,7 @@ class KvCache:
     subsequent writes identical to a fresh cache.
     """
 
-    def __init__(self, n_layers: int, n_heads: int, d_head: int, capacity: int = 64):
+    def __init__(self, n_layers: int, n_heads: int, d_head: int, capacity: int):
         check_integer(capacity, 1, ConfigError, "capacity")
         self.k = np.zeros((n_layers, capacity, n_heads, d_head))
         self.v = np.zeros((n_layers, capacity, n_heads, d_head))
@@ -142,20 +142,15 @@ class KvCache:
         self.k, self.v, self.pos = grown.k, grown.v, grown.pos
 
     def rollback(self, keep) -> None:
-        """Keep a prefix (an integer count) or an ordered slot subset (an
-        integer index array); a count ``k`` is the subset ``arange(k)``.
+        """Keep the slots ``keep``, a strictly increasing integer index array
+        (a prefix is ``range(k)``), in order.
 
-        Subset rollback reproduces a fresh cache only when every kept slot
+        A subset rollback reproduces a fresh cache only when every kept slot
         attended kept slots alone when it was written. Prefixes satisfy this
         trivially; so does a committed prefix plus one accepted tree path,
         because the tree mask hides siblings from each other.
         """
-        idx = integer_array(keep, RollbackError, "kept slots")
-        if idx.ndim == 0:
-            if not 0 <= idx <= self.length:
-                raise RollbackError(f"keep={int(idx)} outside [0, {self.length}]")
-            idx = np.arange(idx)
-        idx = index_array(idx, self.length, RollbackError, "slot subset")
+        idx = index_array(keep, self.length, RollbackError, "kept slots")
         m = idx.size
         # idx is strictly increasing from >= 0, so idx[i] >= i and the slots
         # that stay where they are form a prefix; only the rest is gathered.
@@ -175,7 +170,7 @@ class KvCache:
 class PrefillResult:
     """Cache and final-item logits of one prefill.
 
-    ``capture`` is set by ``prefill(seq, capture=True)``: an
+    ``capture`` is None unless ``prefill(seq, capture=True)`` sets it: an
     ``(n_language, n_video)`` float64 array whose entry ``[i, j]`` is the
     attention probability of language item i on video item j, averaged over
     every layer and head. It is the guidance block, accumulated while the
@@ -184,7 +179,7 @@ class PrefillResult:
 
     cache: KvCache
     logits: np.ndarray  # (vocab,) for the final item
-    capture: np.ndarray | None = None
+    capture: np.ndarray | None
 
 
 def _rms_norm(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -194,13 +189,13 @@ def _rms_norm(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return out
 
 
-def rope(positions: np.ndarray, d_head: int, theta: float) -> np.ndarray:
-    """(n, 1, d_head // 2) complex rotations ``exp(1j * p * theta**(-2i / d_head))``.
+def rope(positions: np.ndarray, d_head: int) -> np.ndarray:
+    """(n, 1, d_head // 2) complex rotations ``exp(1j * p * _ROPE_THETA**(-2i / d_head))``.
 
     Multiplying the complex view of (n, heads, d_head) float vectors by them
     rotates each adjacent pair ``(2i, 2i+1)`` at its row's position ``p``.
     """
-    inv_freq = theta ** (-np.arange(0, d_head, 2, dtype=np.float64) / d_head)
+    inv_freq = _ROPE_THETA ** (-np.arange(0, d_head, 2, dtype=np.float64) / d_head)
     return np.exp(1j * np.multiply.outer(positions.astype(np.float64), inv_freq))[:, None, :]
 
 
@@ -208,6 +203,8 @@ class Model:
     """Immutable-after-init transformer; safe to share read-only across sessions."""
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
+        check_type(config, ModelConfig, ConfigError, "config")
+        check_type(params, dict, ConfigError, "params")
         expected = param_shapes(config)
         if set(params) != set(expected):
             missing = set(expected) - set(params)
@@ -233,22 +230,15 @@ class Model:
         return KvCache(c.n_layers, c.n_heads, c.d_head, capacity)
 
     def embed_items(self, items) -> np.ndarray:
-        """Token ids (ints) or ready embedding rows -> a new (n, d_model)
-        float64 array, which ``_hidden`` may update in place."""
-        d = self.config.d_model
-        arr = as_array(items, SequenceError, "items")
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
-        if np.issubdtype(arr.dtype, np.integer):
-            if arr.ndim != 1:
-                raise SequenceError("token id input must be 1-D")
-            if arr.size and (arr.min() < 0 or arr.max() >= self.config.vocab_size):
-                raise SequenceError("token id outside vocabulary")
-            return self.params["embed"][arr]
-        arr = float_array(np.atleast_2d(arr), 2, SequenceError, "embedding rows")
-        if arr.shape[1] != d:
-            raise SequenceError(f"embedding rows must have width {d}, got {arr.shape}")
-        return arr.copy()
+        """Token ids (an int or a 1-D integer array) -> their embedding rows,
+        a new (n, d_model) float64 array, which ``_hidden`` may update in
+        place; n may be 0."""
+        ids = np.atleast_1d(integer_array(items, SequenceError, "token ids"))
+        if ids.ndim != 1:
+            raise SequenceError("token id input must be 1-D")
+        if ids.size and (ids.min() < 0 or ids.max() >= self.config.vocab_size):
+            raise SequenceError("token id outside vocabulary")
+        return self.params["embed"][ids]
 
     def embed_sequence(self, seq: MultimodalSequence) -> np.ndarray:
         """``seq``'s video rows (admitted by ``MultimodalSequence``) then its
@@ -264,7 +254,7 @@ class Model:
     # -- forward passes ----------------------------------------------------
 
     def forward_block(self, cache: KvCache, items, positions) -> np.ndarray:
-        """Run a causal block of items against the cache in one forward pass.
+        """Run a causal block of token ids against the cache in one forward pass.
 
         Every block item sees all live cache slots, every earlier block item
         and itself. The cache is extended by the block; the caller owns any
@@ -277,9 +267,12 @@ class Model:
         return self._logits(self._hidden(cache, emb, positions))
 
     def _block_input(self, cache: KvCache, items, positions) -> tuple[np.ndarray, np.ndarray]:
-        """A block's embeddings and int64 positions, one position per item,
-        each below ``MAX_POSITIONS`` and beyond every cached position."""
+        """A block's embeddings and int64 positions: at least one item, one
+        position per item, each below ``MAX_POSITIONS`` and beyond ``cache``'s."""
+        check_type(cache, KvCache, PositionError, "cache")
         emb = self.embed_items(items)
+        if not emb.shape[0]:
+            raise SequenceError("a block holds at least one item")
         positions = integer_array(positions, PositionError, "positions").reshape(-1)
         if positions.shape[0] != emb.shape[0]:
             raise PositionError(f"{emb.shape[0]} items but {positions.shape[0]} positions")
@@ -287,12 +280,13 @@ class Model:
         return emb, positions
 
     def _check_positions(self, cache: KvCache, positions: np.ndarray) -> None:
-        if positions.size and (positions.min() < 0 or positions.max() >= MAX_POSITIONS):
+        """``PositionError`` unless every position is in range and beyond ``cache``'s."""
+        if positions.min() < 0 or positions.max() >= MAX_POSITIONS:
             raise PositionError(
                 f"positions must lie in [0, {MAX_POSITIONS}), got "
                 f"[{positions.min()}, {positions.max()}]"
             )
-        if positions.size and positions.min() <= cache.max_position:
+        if positions.min() <= cache.max_position:
             raise PositionError(
                 f"position {positions.min()} not beyond cache maximum {cache.max_position}"
             )
@@ -371,7 +365,7 @@ class Model:
             n_video = capture.shape[1]
             first = max(n_video - L0, 0)
 
-        rot_k = rope(positions, c.d_head, _ROPE_THETA)
+        rot_k = rope(positions, c.d_head)
         rot_q = rot_k / np.sqrt(c.d_head)  # folds the score scale into q
         p = self.params
         ctx = np.empty((c.n_heads, n, c.d_head))
@@ -450,6 +444,7 @@ class Model:
         rows inside a larger product. So the logits stay bitwise the last
         row of a whole-sequence ``forward_block``.
         """
+        check_type(seq, MultimodalSequence, SequenceError, "sequence")
         n = len(seq)
         emb = self.embed_sequence(seq)
         positions = seq.positions
@@ -472,10 +467,10 @@ class Model:
         return PrefillResult(cache, self._logits(h)[-1], acc)
 
     def decode_step(self, cache: KvCache, item, position: int) -> np.ndarray:
-        """Append one item and return its (vocab,) logits.
+        """Append one token id and return its (vocab,) logits.
 
         The position must be strictly beyond every position already cached;
-        more than one item raises ``PositionError`` (one position given).
+        more than one token id raises ``PositionError`` (one position given).
         """
         return self.forward_block(cache, item, [position])[0]
 
@@ -486,7 +481,7 @@ class Model:
         positions,
         tree_mask: np.ndarray,
     ) -> np.ndarray:
-        """Verify a draft tree in one masked forward.
+        """Verify a draft tree of token ids in one masked forward.
 
         The boolean ``tree_mask[i, j]`` admits attention from node i to node
         j; each node must see exactly itself plus its ancestors, and node
@@ -563,8 +558,9 @@ def save_checkpoint(model: Model, path) -> None:
     The header holds the config alone: ``param_shapes(config)`` gives every
     tensor's shape, so no per-tensor index is written. Each tensor is
     narrowed to float32 and written just after the one before it, so at
-    most one float32 copy is alive at a time.
+    most one float32 copy is alive at a time. ``ConfigError`` unless ``model`` is a ``Model``.
     """
+    check_type(model, Model, ConfigError, "model")
     header = json.dumps({"config": asdict(model.config)}, separators=(",", ":"))
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC.encode("ascii") + b"\n")

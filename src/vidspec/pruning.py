@@ -10,8 +10,8 @@ M ordered items take ranks floor(i * M / K), i = 0..K-1, in exact integer
 arithmetic (consecutive picks lie floor(M/K) or ceil(M/K) apart; K <= 0 picks
 nothing). Baseline pruners (random, window, frame-drop, temporal-similarity,
 plain uniform, attention Top-K) share the same plan type and the same exact
-budget: floor((1 - r) * n_video + 0.5) retained tokens for every method
-(halves round up).
+budget, ``retention_budget``: floor((1 - r) * N + 0.5) of a layout's N
+tokens for every method (halves round up).
 
 Zero total guidance mass is reached by the empty prefix, so Stage I keeps
 nothing and the two-stage plan is the uniform plan. A Stage I set over the
@@ -40,15 +40,12 @@ def _check_unit(value, what: str) -> None:
         raise PlanError(f"{what} must lie in [0, 1], got {value!r}")
 
 
-def retention_budget(n_video: int, r: float) -> int:
-    _check_unit(r, "pruning ratio")
-    return int(np.floor((1.0 - r) * n_video + 0.5))
-
-
-def _budget(layout: VideoLayout, r: float) -> int:
-    """``layout``'s retention budget; ``PlanError`` unless it is a ``VideoLayout``."""
+def retention_budget(layout: VideoLayout, r: float) -> int:
+    """The count of ``layout``'s tokens every plan keeps at pruning ratio ``r``;
+    ``PlanError`` unless ``layout`` is a ``VideoLayout`` and ``r`` is in [0, 1]."""
     check_type(layout, VideoLayout, PlanError, "layout")
-    return retention_budget(layout.total, r)
+    _check_unit(r, "pruning ratio")
+    return int(np.floor((1.0 - r) * layout.total + 0.5))
 
 
 def _spread(k: int, m: int) -> np.ndarray:
@@ -129,7 +126,7 @@ def stage1_top_p(scores, lambda_r: float) -> np.ndarray:
 def stage2_uniform(layout: VideoLayout, v_r, r: float) -> np.ndarray:
     """The budget's remaining K - |v_r| picks, spread evenly over the
     non-guided leftovers in ascending flat order; none when |v_r| >= K."""
-    k_total = _budget(layout, r)
+    k_total = retention_budget(layout, r)
     v_r = index_array(v_r, layout.total, PlanError, "v_r")
     remaining = np.setdiff1d(np.arange(layout.total, dtype=np.int64), v_r)
     return remaining[_spread(k_total - v_r.size, remaining.size)]
@@ -138,7 +135,7 @@ def stage2_uniform(layout: VideoLayout, v_r, r: float) -> np.ndarray:
 def plan_two_stage(scores, layout: VideoLayout, r: float, lambda_r: float) -> PruningPlan:
     """Guided Top-P retention, then spatially uniform fill, to the exact budget;
     the Top-K plan, marked truncated, when Stage I overflows the budget."""
-    k_total = _budget(layout, r)
+    k_total = retention_budget(layout, r)
     values = _layout_scores(scores, layout)
     v_r = stage1_top_p(values, lambda_r)
     if v_r.size > k_total:
@@ -155,7 +152,7 @@ def plan_uniform(layout: VideoLayout, r: float) -> PruningPlan:
 def plan_attention_top_k(scores, layout: VideoLayout, r: float) -> PruningPlan:
     """Guided stage alone under the same fixed budget: the K highest-scoring
     tokens, no uniform fill."""
-    k_total = _budget(layout, r)
+    k_total = retention_budget(layout, r)
     values = _layout_scores(scores, layout)
     v_r = np.sort(descending_order(values)[:k_total])
     return PruningPlan(layout, v_r, [])
@@ -163,7 +160,7 @@ def plan_attention_top_k(scores, layout: VideoLayout, r: float) -> PruningPlan:
 
 def plan_random(layout: VideoLayout, r: float, seed: int) -> PruningPlan:
     check_integer(seed, 0, PlanError, "seed")
-    k_total = _budget(layout, r)
+    k_total = retention_budget(layout, r)
     rng = np.random.default_rng(seed)
     retained = np.sort(rng.choice(layout.total, size=k_total, replace=False))
     return PruningPlan(layout, [], retained)
@@ -175,7 +172,7 @@ def plan_window(layout: VideoLayout, r: float, anchor: str) -> PruningPlan:
     the slack ``total - K``, rounded down."""
     if anchor not in WINDOW_ANCHORS:
         raise PlanError(f"anchor must be one of {WINDOW_ANCHORS}, got {anchor!r}")
-    k_total = _budget(layout, r)
+    k_total = retention_budget(layout, r)
     start = (layout.total - k_total) * WINDOW_ANCHORS.index(anchor) // 2
     retained = np.arange(start, start + k_total, dtype=np.int64)
     return PruningPlan(layout, [], retained)
@@ -184,7 +181,7 @@ def plan_window(layout: VideoLayout, r: float, anchor: str) -> PruningPlan:
 def plan_frame_drop(layout: VideoLayout, r: float) -> PruningPlan:
     """Keep ceil((1-r)*F) whole frames spread evenly over the F frames, then
     trim trailing tokens of the last kept frame down to the exact budget."""
-    k_total = _budget(layout, r)
+    k_total = retention_budget(layout, r)
     frames = _spread(int(np.ceil((1.0 - r) * layout.frames)), layout.frames)
     per_frame = np.arange(layout.frame_size, dtype=np.int64)
     retained = (frames[:, None] * layout.frame_size + per_frame).reshape(-1)[:k_total]
@@ -200,7 +197,7 @@ def plan_temporal_similarity(embeddings, layout: VideoLayout, r: float) -> Pruni
     first), then the frame-0 cells highest-index first; the plan drops its
     first ``total - K`` entries, so a budget below one frame trims frame 0.
     """
-    k_total = _budget(layout, r)
+    k_total = retention_budget(layout, r)
     embeddings = float_array(embeddings, 2, PlanError, "embeddings")
     if embeddings.shape[0] != layout.total:
         raise PlanError(

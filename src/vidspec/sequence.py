@@ -6,10 +6,11 @@ of every item. Pruning removes video items but never re-indexes the survivors,
 so rotary encodings downstream see the same positions as the unpruned prompt.
 
 Outside arrays enter the package through ``as_array`` and the checks built on
-it: ``integer_array``, ``float_array``, and ``index_array`` for every set of
-kept indices (video indices, a plan's V_R and V_U, rollback slots). A ragged
-array, a wrong dtype or rank, a NaN or inf float, or an index set out of range
-or order raises the caller's typed error, never a bare ``ValueError``.
+it: ``integer_array`` for token ids and positions, ``float_array`` for video
+rows and scores, and ``index_array`` for every set of kept indices (video
+indices, a plan's V_R and V_U, the slots a rollback keeps, a prefix being
+``range(k)``). A ragged array, a wrong dtype or rank, a NaN or inf float, or
+an index set out of range or order raises the caller's typed error.
 """
 
 from __future__ import annotations

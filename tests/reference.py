@@ -19,11 +19,11 @@ def _rms(x, weight):
     return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS) * weight
 
 
-def reference_rope(x, positions, theta):
+def reference_rope(x, positions):
     """Rotate each adjacent pair (2i, 2i+1) of the last axis by
-    ``position * theta**(-2i / d_head)``, in real arithmetic."""
+    ``position * ROPE_THETA**(-2i / d_head)``, in real arithmetic."""
     d_head = x.shape[-1]
-    inv_freq = theta ** (-np.arange(0, d_head, 2, dtype=np.float64) / d_head)
+    inv_freq = ROPE_THETA ** (-np.arange(0, d_head, 2, dtype=np.float64) / d_head)
     ang = positions[:, None].astype(np.float64) * inv_freq[None, :]
     cos, sin = np.cos(ang)[:, None, :], np.sin(ang)[:, None, :]
     even, odd = x[..., 0::2], x[..., 1::2]
@@ -63,9 +63,9 @@ def _forward(model, seq):
         pre = f"layers.{layer}."
         x = _rms(h, p[pre + "attn_norm"])
         q = (x @ p[pre + "wq"]).reshape(n, c.n_heads, c.d_head)
-        q = reference_rope(q, positions, ROPE_THETA)
+        q = reference_rope(q, positions)
         k = (x @ p[pre + "wk"]).reshape(n, c.n_heads, c.d_head)
-        k = reference_rope(k, positions, ROPE_THETA)
+        k = reference_rope(k, positions)
         v = (x @ p[pre + "wv"]).reshape(n, c.n_heads, c.d_head)
         scores = np.einsum("ihd,jhd->hij", q, k) / np.sqrt(c.d_head)
         scores = np.where(causal, scores, -np.inf)

@@ -1,0 +1,53 @@
+"""The benchmark's own requests, sent once each: a change that breaks a call
+the benchmark makes fails here, not only in a benchmark run.
+
+``greedy_decode`` is left out: every one of its decode steps fails until the
+one-item forward is mended (ROADMAP item 0).
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from vidspec.errors import VidspecError
+from vidspec.model import init_model
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import inputs  # noqa: E402
+import recorder  # noqa: E402
+import workloads  # noqa: E402
+
+SEED = 1
+
+
+@pytest.fixture(scope="module")
+def models():
+    return workloads.Models(init_model(workloads.VERIFIER), init_model(workloads.DRAFT))
+
+
+def send(models, name, index):
+    """Request ``index`` of workload ``name``, drawn as a benchmark run draws
+    it; its recorder and samples."""
+    request, frame_choices = workloads.WORKLOADS[name]
+    rec = recorder.Recorder(False, VidspecError)
+    samples = workloads.Samples()
+    rng = inputs.request_rng(SEED, inputs.MEASURED, index)
+    frames = inputs.frame_count(SEED, inputs.MEASURED, index, frame_choices)
+    request(models, rec, samples, rng, frames, index)
+    assert rec.failed == 0, (dict(rec.failures), rec.check_messages, list(rec.tracebacks.values()))
+    return samples
+
+
+@pytest.mark.parametrize("index", range(len(workloads.PRUNER_NAMES)), ids=workloads.PRUNER_NAMES)
+def test_long_video_request(models, index):
+    """Request ``index`` plans with the index-th pruner."""
+    samples = send(models, "long_video", index)
+    assert len(samples.prompt_s) == len(samples.work_s) == len(samples.v_r) == 1
+
+
+def test_tree_verify_request(models):
+    samples = send(models, "tree_verify", 0)
+    assert len(samples.prompt_s) == 1
+    assert len(samples.step_s) == workloads.VERIFY_ROUNDS

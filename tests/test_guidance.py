@@ -61,12 +61,16 @@ class TestExtractGuidance:
         "capture_string": lambda seq: extract_guidance([["a", "b"], ["c", "d"]], seq),
         "scores_inf": lambda seq: GuidanceScores([np.inf]),
         "matrix_no_rows": lambda seq: GuidanceMatrix(np.zeros((0, 3))),
+        "sequence_none": lambda seq: extract_guidance(np.zeros((2, 2)), None),
+        "score_raw_array": lambda seq: score_tokens(np.zeros((2, 2))),
     }
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_GUIDANCE))
     def test_malformed_guidance_rejected(self, name):
-        """A capture or scores holding NaN, inf or strings, and a guidance
-        matrix without language rows, raise ``GuidanceError``."""
+        """A capture or scores holding NaN, inf or strings, a guidance
+        matrix without language rows, a sequence that is not a
+        ``MultimodalSequence`` and a raw array scored in place of a
+        ``GuidanceMatrix`` raise ``GuidanceError``."""
         with pytest.raises(GuidanceError):
             self.MALFORMED_GUIDANCE[name](video_seq(VideoLayout(1, 1, 2), 2))
 

@@ -1,6 +1,7 @@
 """Model core: determinism, cache semantics, incremental/tree equivalence."""
 
 import json
+import os
 import tracemalloc
 from dataclasses import asdict
 
@@ -68,6 +69,13 @@ def text_cache(model, tokens):
     cache = model.new_cache()
     model.forward_block(cache, tokens, np.arange(len(tokens)))
     return cache
+
+
+def rows_logits(model, cache, rows, positions):
+    """Logits of a causal block of embedding ``rows`` at ``positions`` on
+    ``cache``: the core and head that ``forward_block`` runs on token ids,
+    here fed a copy of the rows (as ``prefill`` feeds video rows)."""
+    return model._logits(model._hidden(cache, rows.copy(), positions))
 
 
 def with_leading(w, *values):
@@ -257,8 +265,8 @@ class TestPrefill:
     @pytest.mark.parametrize("n", sorted(ONE_TO_FOUR_CHUNKS) + sorted(SHORT_FINAL_CHUNK))
     def test_logits_equal_last_row_of_one_block(self, n):
         """Prefill applies the head to its final chunk's last rows only; the
-        result is bitwise the last row of one whole-sequence
-        ``forward_block``."""
+        result is bitwise the last row of one whole-sequence block through
+        the core and head."""
         if n in ONE_TO_FOUR_CHUNKS:
             config, (layout, n_language) = small_config(), ONE_TO_FOUR_CHUNKS[n]
         else:
@@ -267,7 +275,7 @@ class TestPrefill:
         seq = random_prompt(model.config, layout, n_language, seed=n)
         assert len(seq) == n
         emb = model.embed_sequence(seq)
-        whole = model.forward_block(model.new_cache(), emb, seq.positions)
+        whole = rows_logits(model, model.new_cache(), emb, seq.positions)
         assert np.array_equal(emb, model.embed_sequence(seq))  # input left as it was
         assert np.array_equal(model.prefill(seq).logits, whole[-1])
 
@@ -275,12 +283,12 @@ class TestPrefill:
     def test_cache_equals_one_block(self, n):
         """The last layer skips rows nothing reads but still writes every
         row's keys and values: the cache is bitwise that of one
-        whole-sequence ``forward_block``."""
+        whole-sequence block through the core."""
         layout, n_language = ONE_TO_FOUR_CHUNKS[n]
         model = init_model(small_config())
         seq = random_prompt(model.config, layout, n_language, seed=n)
         whole = model.new_cache()
-        model.forward_block(whole, model.embed_sequence(seq), seq.positions)
+        rows_logits(model, whole, model.embed_sequence(seq), seq.positions)
         cache = model.prefill(seq).cache
         assert cache.length == whole.length == n
         assert np.array_equal(cache.k[:, :n], whole.k[:, :n])
@@ -441,6 +449,54 @@ NON_INTEGER_INPUT = {
         MaskError,
         lambda m: m.forward_tree(m.new_cache(), [1, 2], [0, 1], [[0.5, 0], [0.5, 0.2]]),
     ),
+    # forwards take token ids: no embedding rows, no float ids, no empty block
+    "items_float_rows": (
+        SequenceError,
+        lambda m: m.forward_block(m.new_cache(), np.zeros((2, D)), [0, 1]),
+    ),
+    "items_float_ids": (SequenceError, lambda m: m.forward_block(m.new_cache(), [1.0, 2.0], [0, 1])),
+    "block_empty_int64": (
+        SequenceError,
+        lambda m: m.forward_block(m.new_cache(), np.zeros(0, np.int64), []),
+    ),
+    "block_empty_list": (SequenceError, lambda m: m.forward_block(m.new_cache(), [], [])),
+    "tree_empty": (
+        SequenceError,
+        lambda m: m.forward_tree(m.new_cache(), np.zeros(0, np.int64), [], np.zeros((0, 0), bool)),
+    ),
+    "rollback_count": (RollbackError, lambda m: m.new_cache().rollback(0)),
+    "token_ids_2d": (SequenceError, lambda m: m.forward_block(m.new_cache(), [[1, 2]], [0, 1])),
+    "token_id_beyond_vocab": (
+        SequenceError,
+        lambda m: m.forward_block(m.new_cache(), [1, m.config.vocab_size], [0, 1]),
+    ),
+    "position_not_beyond_cache": (
+        PositionError,
+        lambda m: m.forward_block(m.prefill(random_prompt(m.config)).cache, [1, 2], [79, 80]),
+    ),
+    "tree_one_position_per_node": (
+        PositionError,
+        lambda m: m.forward_tree(m.new_cache(), [1, 2], [0, 1], np.eye(3, dtype=bool)),
+    ),
+    "params_mismatch": (ConfigError, lambda m: Model(m.config, {})),
+    "tokens_2d": (SequenceError, lambda m: two_cells(tokens=[[3]])),
+    "embeds_count": (SequenceError, lambda m: two_cells(embeds=np.zeros((3, D)))),
+    "token_negative": (SequenceError, lambda m: two_cells(tokens=[-1])),
+    "sequence_empty": (
+        SequenceError,
+        lambda m: MultimodalSequence(VideoLayout(1, 1, 2), np.zeros((0, D)), [], []),
+    ),
+    # arguments of the wrong type
+    "prefill_none": (SequenceError, lambda m: m.prefill(None)),
+    "block_cache_none": (PositionError, lambda m: m.forward_block(None, [1, 2], [0, 1])),
+    "tree_cache_none": (
+        PositionError,
+        lambda m: m.forward_tree(None, [1, 2], [0, 1], np.eye(2, dtype=bool)),
+    ),
+    "decode_cache_none": (PositionError, lambda m: m.decode_step(None, 1, 0)),
+    "model_config_string": (ConfigError, lambda m: Model("x", {})),
+    "model_params_none": (ConfigError, lambda m: Model(m.config, None)),
+    "save_model_none": (ConfigError, lambda m: save_checkpoint(None, os.devnull)),
 }
 
 
@@ -449,8 +505,12 @@ def test_malformed_input_raises_typed_error(name):
     """Non-integer positions, tokens, indices and layout sizes, 1-D video
     embeddings, a missing layout (also in ``MultimodalSequence.full``), a
     seed that is not a non-negative integer, a ``bool`` where a size or
-    seed is due, ragged or string arrays, and a tree mask that is not
-    boolean raise the package's own errors."""
+    seed is due, ragged or string arrays, a tree mask that is not boolean,
+    a forward's input that is not token ids or is empty, a rollback count,
+    token ids outside the vocabulary, positions not beyond the cache or not
+    one per tree node, a mismatched parameter set, a malformed sequence and
+    a cache, sequence, config, parameter set or model of the wrong type
+    raise the package's own errors."""
     error, call = NON_INTEGER_INPUT[name]
     with pytest.raises(error):
         call(init_model(small_config()))
@@ -466,8 +526,8 @@ class TestTiledAttention:
         seq = random_prompt(model.config, VideoLayout(2, 4, 4), n_language=L0 - 32 + n, seed=n)
         emb, positions = model.embed_sequence(seq), seq.positions
         cache = model.new_cache()
-        model.forward_block(cache, emb[:L0], positions[:L0])
-        logits = model.forward_block(cache, emb[L0:], positions[L0:])
+        rows_logits(model, cache, emb[:L0], positions[:L0])
+        logits = rows_logits(model, cache, emb[L0:], positions[L0:])
         expected, _ = reference_forward(model, seq)
         # rtol 1e-12 of the logits' scale: entries near zero carry the same
         # absolute rounding as the large ones
@@ -525,7 +585,7 @@ class TestUnshiftedSoftmax:
 
     @staticmethod
     def check_block(model, seq):
-        logits = model.forward_block(model.new_cache(), model.embed_sequence(seq), seq.positions)
+        logits = rows_logits(model, model.new_cache(), model.embed_sequence(seq), seq.positions)
         expected, _ = reference_forward(model, seq)
         scale = np.abs(expected).max()
         np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12 * scale)
@@ -550,10 +610,10 @@ class TestUnshiftedSoftmax:
         self.check_block(model, seq)
 
 
-def rotate(x, positions, theta=10000.0):
+def rotate(x, positions):
     """``x`` (n, heads, d_head) rotated as the model's core rotates k."""
     out = x.copy()
-    out.view(np.complex128)[...] *= rope(positions, x.shape[-1], theta)
+    out.view(np.complex128)[...] *= rope(positions, x.shape[-1])
     return out
 
 
@@ -565,7 +625,7 @@ class TestRope:
         within its own pair; every other dim stays zero."""
         x = np.zeros((1, 2, 16))
         x[:, :, 0] = 1.0
-        out = rotation(x, np.array([pos]), 10000.0)
+        out = rotation(x, np.array([pos]))
         expected = np.zeros_like(x)
         expected[:, :, 0], expected[:, :, 1] = np.cos(pos), np.sin(pos)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
@@ -591,6 +651,8 @@ class TestDecode:
         assert out.cache.length == n + 1
 
     def test_non_finite_embedding_rejected(self):
+        """An embedding row is not a token id: ``decode_step`` refuses it,
+        NaN and all, before any slot is written."""
         model = init_model(small_config())
         out = model.prefill(random_prompt(model.config))
         n = out.cache.length
@@ -760,7 +822,7 @@ class TestRollback:
         model = init_model(small_config())
         out = model.prefill(random_prompt(model.config))
         before = out.cache.pos[: out.cache.length].copy()
-        out.cache.rollback(out.cache.length)
+        out.cache.rollback(range(out.cache.length))
         assert np.array_equal(out.cache.pos[: out.cache.length], before)
 
     def test_max_position_of_an_empty_cache(self):
@@ -769,7 +831,7 @@ class TestRollback:
         cache = model.new_cache()
         assert cache.max_position == -1
         cache = model.prefill(random_prompt(model.config)).cache
-        cache.rollback(0)
+        cache.rollback(range(0))
         assert cache.max_position == -1
 
     def test_rollback_zero_then_refill(self):
@@ -777,20 +839,20 @@ class TestRollback:
         seq = random_prompt(model.config, seed=9)
         out = model.prefill(seq)
         fresh = model.prefill(seq)
-        out.cache.rollback(0)
-        emb = model.embed_sequence(seq)
-        logits = model.forward_block(out.cache, emb, seq.positions)
+        out.cache.rollback(range(0))
+        logits = rows_logits(model, out.cache, model.embed_sequence(seq), seq.positions)
         assert np.array_equal(logits[-1], fresh.logits)
 
     def test_decode_after_rollback_matches_fresh(self):
-        """prefill 10, decode 3, rollback(10), decode X == prefill 10, decode X."""
+        """prefill 10, decode 3, rollback(range(10)), decode X == prefill 10,
+        decode X."""
         config = small_config()
         model = init_model(config)
         tokens = np.arange(10) + 30
         cache = text_cache(model, tokens)
         for i, t in enumerate((1, 2, 3)):
             model.decode_step(cache, t, 10 + i)
-        cache.rollback(10)
+        cache.rollback(range(10))
         rolled = model.decode_step(cache, 7, 10)
 
         direct = model.decode_step(text_cache(model, tokens), 7, 10)
@@ -879,17 +941,18 @@ class TestRollback:
         model = init_model(small_config())
         out = model.prefill(random_prompt(model.config))
         with pytest.raises(RollbackError):
-            out.cache.rollback(out.cache.length + 1)
+            out.cache.rollback(range(out.cache.length + 1))
 
     @pytest.mark.parametrize(
         "keep",
-        [2.7, "a", True, -1],
+        [np.arange(2.7), "a", np.ones(12, dtype=bool), np.arange(-1, 12)],
         ids=["count_fraction", "string", "bool", "count_negative"],
     )
     def test_malformed_keep_rejected(self, keep):
-        """A count that is not an integer in ``[0, length]`` (a string or a
-        ``bool`` included) raises ``RollbackError`` and leaves the cache as it was; malformed
-        slot subsets are in ``test_sequence``'s index-set table."""
+        """The range of a fractional count (float slots), a string, a
+        boolean mask over the slots and a range that starts below zero raise
+        ``RollbackError`` and leave the cache as it was; malformed slot
+        subsets are in ``test_sequence``'s index-set table."""
         cache = KvCache(1, 1, 2, capacity=16)
         cache.pos[:12] = np.arange(12)
         cache.length = 12

@@ -291,7 +291,7 @@ MALFORMED_INPUT = {
     "random_seed_fraction": lambda layout: plan_random(layout, 0.5, 1.5),
     "random_seed_string": lambda layout: plan_random(layout, 0.5, "x"),
     "random_seed_bool": lambda layout: plan_random(layout, 0.5, True),
-    "budget_ratio_string": lambda layout: retention_budget(layout.total, "x"),
+    "budget_ratio_string": lambda layout: retention_budget(layout, "x"),
     "top_p_lambda_string": lambda layout: stage1_top_p([1, 1, 1], "x"),
     "uniform_fill_fraction": lambda layout: stage2_uniform(layout, [0.7, 2.9], 0.5),
     "two_stage_string": lambda layout: plan_two_stage(["a", "b", "c", "d"], layout, 0.5, 0.5),
@@ -300,7 +300,7 @@ MALFORMED_INPUT = {
     "uniform_fill_ragged": lambda layout: stage2_uniform(layout, [[0], [1, 2]], 0.5),
     "top_p_sum_overflow": lambda layout: stage1_top_p([1e308, 1e308, 1, 1], 0.0),
     "two_stage_sum_overflow": lambda layout: plan_two_stage([1e308, 1e308, 1, 1], layout, 0.5, 0.5),
-    "budget_ratio_bool": lambda layout: retention_budget(layout.total, True),
+    "budget_ratio_bool": lambda layout: retention_budget(layout, True),
     "top_p_lambda_bool": lambda layout: stage1_top_p([1, 1, 1], True),
     "plan_layout_none": lambda layout: PruningPlan(None, [], []),
     "two_stage_layout_none": lambda layout: plan_two_stage([1, 1, 1, 1], None, 0.5, 0.5),
@@ -315,6 +315,16 @@ MALFORMED_INPUT = {
         MultimodalSequence.full(layout, np.ones((layout.total, 3)), [0]), None
     ),
     "apply_sequence_none": lambda layout: apply_plan(None, plan_uniform(layout, 0.5)),
+    "budget_layout_negative_count": lambda layout: retention_budget(-5, 0.5),
+    "budget_layout_string": lambda layout: retention_budget("a", 0.5),
+    "plan_sets_overlap": lambda layout: PruningPlan(layout, [0], [0]),
+    "attention_top_k_negative": lambda layout: plan_attention_top_k([-1, 1, 1, 1], layout, 0.5),
+    "two_stage_score_count": lambda layout: plan_two_stage([1, 1, 1], layout, 0.5, 0.5),
+    "temporal_row_count": lambda layout: plan_temporal_similarity(np.ones((3, 3)), layout, 0.5),
+    "apply_plan_other_layout": lambda layout: apply_plan(
+        MultimodalSequence.full(layout, np.ones((layout.total, 3)), [0]),
+        plan_uniform(VideoLayout(1, 1, layout.total), 0.5),
+    ),
 }
 
 
@@ -324,8 +334,10 @@ def test_non_finite_input_rejected(name):
     overflows float64, a random plan's seed that is not a non-negative
     integer (a ``bool`` included), a ratio or lambda_r that is not a number
     or is a ``bool``, a guided set that is not integers or is ragged, a
-    layout that is not a ``VideoLayout`` and a plan that is not a
-    ``PruningPlan`` raise ``PlanError``."""
+    layout that is not a ``VideoLayout`` (a raw count included), a plan that
+    is not a ``PruningPlan``, overlapping guided and uniform sets, negative
+    scores, a score or embedding count that is not the layout's, and a plan
+    of another layout raise ``PlanError``."""
     with pytest.raises(PlanError):
         MALFORMED_INPUT[name](VideoLayout(2, 1, 2))
 
@@ -338,7 +350,7 @@ class TestBudgetExactness:
                 int(rng.integers(1, 6)), int(rng.integers(1, 6)), int(rng.integers(1, 6))
             )
             r = float(rng.uniform(0, 1)) if r is None else r
-            k = retention_budget(layout.total, r)
+            k = retention_budget(layout, r)
             assert k == math.floor((1 - r) * layout.total + 0.5)
             scores = rng.uniform(size=layout.total)
             embeds = rng.normal(size=(layout.total, 4))
