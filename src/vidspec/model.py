@@ -13,8 +13,8 @@ floating-point reduction error and why a rolled-back cache reproduces a fresh
 one bitwise. `forward_block` and `forward_tree` run the core and then the head
 (`final_norm`, then `head`); `prefill` runs the core chunk by chunk and the
 head on the final chunk's last rows alone. The core's tile, softmax and
-last-layer rules are stated once, in `Model._hidden`; prefill's chunk and
-cache-headroom rules in `Model.prefill`.
+last-layer rules are stated once, in `Model._hidden`; prefill's chunk rule
+in `Model.prefill`; the cache sizing rule in `KvCache`.
 
 Rotary encoding rotates each adjacent pair ``(2i, 2i+1)`` of a head's q and k
 dimensions by ``position * theta**(-2i / d_head)`` (RoFormer's pairing): the
@@ -43,7 +43,7 @@ from .sequence import index_array, integer_array
 _RMS_EPS = 1e-6
 _PREFILL_CHUNK = 512
 _ROW_TILE = 64  # block rows per attention tile
-_CACHE_HEADROOM = 256  # free slots a prefill cache keeps for decoding
+_CACHE_HEADROOM = 256  # free slots a cache keeps beyond its items (see KvCache)
 _CKPT_MAGIC = "VIDSPEC-CKPT 3"
 _ROPE_THETA = 10000.0
 MAX_POSITIONS = 4096  # every position lies in [0, MAX_POSITIONS)
@@ -100,7 +100,9 @@ class KvCache:
 
     Slots beyond ``length`` are dead storage: every read is bounded by the
     logical length, so truncating rollback is just a length reset and leaves
-    subsequent writes identical to a fresh cache.
+    subsequent writes identical to a fresh cache. Sizing: a cache holds its
+    items plus ``_CACHE_HEADROOM`` free slots, when made (``Model.new_cache``)
+    and when grown (``ensure_capacity``).
     """
 
     def __init__(self, n_layers: int, n_heads: int, d_head: int, capacity: int):
@@ -133,13 +135,9 @@ class KvCache:
         return other
 
     def ensure_capacity(self, needed: int) -> None:
-        if needed <= self.capacity:
-            return
-        new_cap = self.capacity
-        while new_cap < needed:
-            new_cap *= 2
-        grown = self._resized(new_cap)
-        self.k, self.v, self.pos = grown.k, grown.v, grown.pos
+        if needed > self.capacity:
+            grown = self._resized(needed + _CACHE_HEADROOM)
+            self.k, self.v, self.pos = grown.k, grown.v, grown.pos
 
     def rollback(self, keep) -> None:
         """Keep the slots ``keep``, a strictly increasing integer index array
@@ -225,9 +223,11 @@ class Model:
 
     # -- construction -----------------------------------------------------
 
-    def new_cache(self, capacity: int = 64) -> KvCache:
+    def new_cache(self, items: int = 0) -> KvCache:
+        """An empty cache sized for ``items`` items (see ``KvCache``)."""
+        check_integer(items, 0, ConfigError, "items")
         c = self.config
-        return KvCache(c.n_layers, c.n_heads, c.d_head, capacity)
+        return KvCache(c.n_layers, c.n_heads, c.d_head, items + _CACHE_HEADROOM)
 
     def embed_items(self, items) -> np.ndarray:
         """Token ids (an int or a 1-D integer array) -> their embedding rows,
@@ -267,15 +267,15 @@ class Model:
         return self._logits(self._hidden(cache, emb, positions))
 
     def _block_input(self, cache: KvCache, items, positions) -> tuple[np.ndarray, np.ndarray]:
-        """A block's embeddings and int64 positions: at least one item, one
+        """A block's embeddings and int64 positions: at least one item, a 1-D
         position per item, each below ``MAX_POSITIONS`` and beyond ``cache``'s."""
         check_type(cache, KvCache, PositionError, "cache")
         emb = self.embed_items(items)
         if not emb.shape[0]:
             raise SequenceError("a block holds at least one item")
-        positions = integer_array(positions, PositionError, "positions").reshape(-1)
-        if positions.shape[0] != emb.shape[0]:
-            raise PositionError(f"{emb.shape[0]} items but {positions.shape[0]} positions")
+        positions = integer_array(positions, PositionError, "positions")
+        if positions.shape != emb.shape[:1]:
+            raise PositionError(f"{emb.shape[0]} items need 1-D positions, got {positions.shape}")
         self._check_positions(cache, positions)
         return emb, positions
 
@@ -434,21 +434,20 @@ class Model:
         summed chunk by chunk in float64; logits and cache are the same
         with ``capture`` on or off.
 
-        The core runs over chunks of ``_PREFILL_CHUNK`` items; a final chunk
-        shorter than one ``_ROW_TILE`` joins the chunk before it. The cache
-        keeps ``_CACHE_HEADROOM`` free slots, so the first decode steps do
-        not grow it. Only the final item's logits are read: earlier chunks
-        output no rows, and the final chunk's ``out_from`` (see ``_hidden``)
-        is the last tile boundary that leaves at least ``_ROW_TILE`` rows,
-        since BLAS rounds a product of 1 to 3 rows differently from the same
-        rows inside a larger product. So the logits stay bitwise the last
-        row of a whole-sequence ``forward_block``.
+        The cache is made once, sized by ``KvCache``'s rule. The core runs
+        over chunks of ``_PREFILL_CHUNK`` items; a final chunk shorter than
+        one ``_ROW_TILE`` joins the chunk before it. Only the final item's
+        logits are read: earlier chunks output no rows, and the final chunk's
+        ``out_from`` (see ``_hidden``) is the last tile boundary that leaves
+        at least ``_ROW_TILE`` rows, since BLAS rounds a product of 1 to 3
+        rows differently from the same rows inside a larger product, so the
+        logits stay bitwise the last row of a whole-sequence ``forward_block``.
         """
         check_type(seq, MultimodalSequence, SequenceError, "sequence")
         n = len(seq)
         emb = self.embed_sequence(seq)
         positions = seq.positions
-        cache = self.new_cache(capacity=n + _CACHE_HEADROOM)
+        cache = self.new_cache(n)
         self._check_positions(cache, positions)
         acc = np.zeros((seq.n_language, seq.n_video)) if capture else None
         # a final chunk shorter than one tile joins the chunk before it

@@ -1,6 +1,10 @@
 """The benchmark's own requests, sent once each: a change that breaks a call
 the benchmark makes fails here, not only in a benchmark run.
 
+No request grows a KV cache: prefill leaves ``_CACHE_HEADROOM`` free slots,
+which every later block of a request fits in, so growth never sits on a
+benchmark's hot path.
+
 ``greedy_decode`` is left out: every one of its decode steps fails until the
 one-item forward is mended (ROADMAP item 0).
 """
@@ -11,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from vidspec.errors import VidspecError
-from vidspec.model import init_model
+from vidspec.model import KvCache, init_model
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -25,6 +29,22 @@ SEED = 1
 @pytest.fixture(scope="module")
 def models():
     return workloads.Models(init_model(workloads.VERIFIER), init_model(workloads.DRAFT))
+
+
+@pytest.fixture
+def growths(monkeypatch):
+    """The ``needed`` of each ``KvCache.ensure_capacity`` call that grows a
+    cache while the test runs."""
+    grown = []
+    ensure = KvCache.ensure_capacity
+
+    def counting(cache, needed):
+        if needed > cache.capacity:
+            grown.append(needed)
+        ensure(cache, needed)
+
+    monkeypatch.setattr(KvCache, "ensure_capacity", counting)
+    return grown
 
 
 def send(models, name, index):
@@ -41,13 +61,15 @@ def send(models, name, index):
 
 
 @pytest.mark.parametrize("index", range(len(workloads.PRUNER_NAMES)), ids=workloads.PRUNER_NAMES)
-def test_long_video_request(models, index):
+def test_long_video_request(models, growths, index):
     """Request ``index`` plans with the index-th pruner."""
     samples = send(models, "long_video", index)
     assert len(samples.prompt_s) == len(samples.work_s) == len(samples.v_r) == 1
+    assert growths == []
 
 
-def test_tree_verify_request(models):
+def test_tree_verify_request(models, growths):
     samples = send(models, "tree_verify", 0)
     assert len(samples.prompt_s) == 1
     assert len(samples.step_s) == workloads.VERIFY_ROUNDS
+    assert growths == []

@@ -16,6 +16,7 @@ from vidspec.errors import (
     SequenceError,
 )
 from vidspec.model import (
+    _CACHE_HEADROOM,
     _ROW_TILE,
     MAX_POSITIONS,
     KvCache,
@@ -417,6 +418,9 @@ NON_INTEGER_INPUT = {
     "seed_fraction": (ConfigError, lambda m: small_config(seed=1.5)),
     "seed_string": (ConfigError, lambda m: small_config(seed="x")),
     "seed_bool": (ConfigError, lambda m: small_config(seed=False)),
+    "new_cache_negative": (ConfigError, lambda m: m.new_cache(-1)),
+    "new_cache_fraction": (ConfigError, lambda m: m.new_cache(1.5)),
+    "new_cache_bool": (ConfigError, lambda m: m.new_cache(True)),
     "config_bools": (
         ConfigError,
         lambda m: ModelConfig(n_layers=True, n_heads=1, d_model=True, vocab_size=2, seed=False),
@@ -427,6 +431,8 @@ NON_INTEGER_INPUT = {
         PositionError,
         lambda m: m.forward_block(m.new_cache(), [1, 2], [[0], [1, 2]]),
     ),
+    "positions_column": (PositionError, lambda m: m.forward_block(m.new_cache(), [1, 2], [[0], [1]])),
+    "positions_row": (PositionError, lambda m: m.forward_block(m.new_cache(), [1, 2], [[0, 1]])),
     "embeds_string": (SequenceError, lambda m: two_cells(embeds=[["x"] * D] * 2)),
     "items_string": (
         SequenceError,
@@ -931,6 +937,35 @@ class TestRollback:
         other.pos[3] = -1
         assert np.array_equal(cache.k, k) and np.array_equal(cache.v, v)
         assert cache.pos[3] == 9
+
+    def test_new_cache_holds_headroom(self):
+        model = init_model(small_config())
+        assert model.new_cache().capacity == _CACHE_HEADROOM
+        assert model.new_cache(10).capacity == 10 + _CACHE_HEADROOM
+
+    def test_block_overflow_grows_to_needed_plus_headroom(self):
+        """A block past a ``new_cache()`` cache's free slots grows it once, to
+        the items it needs plus the headroom, keeps the live slots bitwise,
+        and gives the logits of a cache sized up front."""
+        model = init_model(small_config())
+        rng = np.random.default_rng(5)
+        first, block = rng.integers(0, 256, 40), rng.integers(0, 256, _CACHE_HEADROOM)
+        needed = first.size + block.size
+        cache = text_cache(model, first)
+        k, v, pos = cache.k[:, :40].copy(), cache.v[:, :40].copy(), cache.pos[:40].copy()
+        grown = model.forward_block(cache, block, 40 + np.arange(block.size))
+        assert cache.capacity == needed + _CACHE_HEADROOM
+        assert np.array_equal(cache.k[:, :40], k)
+        assert np.array_equal(cache.v[:, :40], v)
+        assert np.array_equal(cache.pos[:40], pos)
+
+        sized = model.new_cache(needed)
+        model.forward_block(sized, first, np.arange(40))
+        assert np.array_equal(grown, model.forward_block(sized, block, 40 + np.arange(block.size)))
+        assert sized.capacity == needed + _CACHE_HEADROOM
+        assert np.array_equal(cache.k[:, :needed], sized.k[:, :needed])
+        assert np.array_equal(cache.v[:, :needed], sized.v[:, :needed])
+        assert np.array_equal(cache.pos, sized.pos)
 
     @pytest.mark.parametrize("capacity", ["x", None, 2.7, -5, 0, True])
     def test_malformed_capacity_rejected(self, capacity):
