@@ -1,17 +1,18 @@
 """Deterministic decoder-only transformer over mixed video/language input.
 
-Architecture (documented because nothing upstream pins it): pre-norm RMSNorm
-blocks, rotary position encoding applied per item at its *original* position
-index, SiLU feed-forward with a 4x hidden width, untied output head. All
-arithmetic runs in float64; weights are drawn in float32 and widened, so a
-float32 checkpoint round-trips bit-exactly. ``Model`` refuses weights of any
-dtype other than float64.
+Architecture (documented because nothing upstream pins it): pre-norm blocks
+whose RMSNorm has no gain (a row divided by its root mean square), rotary
+position encoding applied per item at its *original* position index, SiLU
+feed-forward with a 4x hidden width, untied output head. All arithmetic runs
+in float64; weights are drawn in float32 and widened, so a float32
+checkpoint round-trips bit-exactly. ``Model`` refuses weights of any dtype
+other than float64.
 
 Incremental decoding, batched causal continuation and tree-masked forwards all
 share one attention core (`_hidden`), which is why their outputs agree to
 floating-point reduction error and why a rolled-back cache reproduces a fresh
 one bitwise. `forward_block` and `forward_tree` run the core and then the head
-(`final_norm`, then `head`); `prefill` runs the core chunk by chunk and the
+(RMSNorm, then `head`); `prefill` runs the core chunk by chunk and the
 head on the final chunk's last rows alone. The core's tile, softmax and
 last-layer rules are stated once, in `Model._hidden`; prefill's chunk rule
 in `Model.prefill`; the cache sizing rule in `KvCache`.
@@ -44,7 +45,7 @@ _RMS_EPS = 1e-6
 _PREFILL_CHUNK = 512
 _ROW_TILE = 64  # block rows per attention tile
 _CACHE_HEADROOM = 256  # free slots a cache keeps beyond its items (see KvCache)
-_CKPT_MAGIC = "VIDSPEC-CKPT 3"
+_CKPT_MAGIC = "VIDSPEC-CKPT 4"
 _ROPE_THETA = 10000.0
 MAX_POSITIONS = 4096  # every position lies in [0, MAX_POSITIONS)
 # An unshifted tile is kept when every softmax row sum lies in [_Z_MIN, _Z_MAX].
@@ -83,33 +84,31 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes: dict[str, tuple[int, ...]] = {"embed": (v, d), "head": (d, v)}
     for layer in range(config.n_layers):
         p = f"layers.{layer}."
-        shapes[p + "attn_norm"] = (d,)
         shapes[p + "wq"] = (d, d)
         shapes[p + "wk"] = (d, d)
         shapes[p + "wv"] = (d, d)
         shapes[p + "wo"] = (d, d)
-        shapes[p + "mlp_norm"] = (d,)
         shapes[p + "w1"] = (d, f)
         shapes[p + "w2"] = (f, d)
-    shapes["final_norm"] = (d,)
     return shapes
 
 
 class KvCache:
     """Per-layer key/value store with a shared logical length and position tags.
 
-    Slots beyond ``length`` are dead storage: every read is bounded by the
-    logical length, so truncating rollback is just a length reset and leaves
-    subsequent writes identical to a fresh cache. Sizing: a cache holds its
-    items plus ``_CACHE_HEADROOM`` free slots, when made (``Model.new_cache``)
-    and when grown (``ensure_capacity``).
+    Slots beyond ``length`` are dead storage that nothing initialises or
+    clears: every read is bounded by the logical length, so truncating
+    rollback is just a length reset and leaves subsequent writes identical
+    to a fresh cache. Sizing: a cache holds its items plus
+    ``_CACHE_HEADROOM`` free slots, when made (``Model.new_cache``) and when
+    grown (``ensure_capacity``).
     """
 
     def __init__(self, n_layers: int, n_heads: int, d_head: int, capacity: int):
         check_integer(capacity, 1, ConfigError, "capacity")
-        self.k = np.zeros((n_layers, capacity, n_heads, d_head))
-        self.v = np.zeros((n_layers, capacity, n_heads, d_head))
-        self.pos = np.full(capacity, -1, dtype=np.int64)
+        self.k = np.empty((n_layers, capacity, n_heads, d_head))
+        self.v = np.empty((n_layers, capacity, n_heads, d_head))
+        self.pos = np.empty(capacity, dtype=np.int64)
         self.length = 0
 
     @property
@@ -122,9 +121,7 @@ class KvCache:
         return int(self.pos[: self.length].max(initial=-1))
 
     def _resized(self, capacity: int) -> "KvCache":
-        """A new cache of ``capacity`` slots holding a copy of the live slots.
-        The dead slots are fresh zeros (a lazily zeroed allocation) tagged -1,
-        not a copy."""
+        """A new cache of ``capacity`` slots holding a copy of the live slots."""
         n_layers, _, n_heads, d_head = self.k.shape
         other = KvCache(n_layers, n_heads, d_head, capacity)
         n = self.length
@@ -156,7 +153,6 @@ class KvCache:
         self.k[:, s:m] = self.k[:, idx[s:]]
         self.v[:, s:m] = self.v[:, idx[s:]]
         self.pos[s:m] = self.pos[idx[s:]]
-        self.pos[m : self.length] = -1
         self.length = m
 
     def clone(self) -> "KvCache":
@@ -180,11 +176,9 @@ class PrefillResult:
     capture: np.ndarray | None
 
 
-def _rms_norm(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """RMSNorm of the rows of a 2-D ``x``, scaled by ``weight``."""
-    out = x / np.sqrt(np.einsum("ij,ij->i", x, x) / x.shape[1] + _RMS_EPS)[:, None]
-    out *= weight
-    return out
+def _rms_norm(x: np.ndarray) -> np.ndarray:
+    """RMSNorm of the rows of a 2-D ``x``, with no gain."""
+    return x / np.sqrt(np.einsum("ij,ij->i", x, x) / x.shape[1] + _RMS_EPS)[:, None]
 
 
 def rope(positions: np.ndarray, d_head: int) -> np.ndarray:
@@ -259,7 +253,7 @@ class Model:
         Every block item sees all live cache slots, every earlier block item
         and itself. The cache is extended by the block; the caller owns any
         rollback. The forward is the core ``_hidden`` (which also writes the
-        cache) followed by the head, ``final_norm`` then ``head``.
+        cache) followed by the head: RMSNorm, then ``head``.
 
         Returns (n, vocab) logits, one row per block item.
         """
@@ -292,8 +286,9 @@ class Model:
             )
 
     def _logits(self, h: np.ndarray) -> np.ndarray:
-        """(rows, d_model) final hidden states -> (rows, vocab) logits."""
-        return _rms_norm(h, self.params["final_norm"]) @ self.params["head"]
+        """(rows, d_model) final hidden states -> (rows, vocab) logits: the
+        RMSNorm of each row, then ``head``."""
+        return _rms_norm(h) @ self.params["head"]
 
     def _hidden(
         self,
@@ -374,7 +369,7 @@ class Model:
             if layer == c.n_layers - 1:
                 q0, o0 = min(out_from, first - first % _ROW_TILE), out_from
             pre = f"layers.{layer}."
-            x = _rms_norm(h, p[pre + "attn_norm"])
+            x = _rms_norm(h)
             k = (x @ p[pre + "wk"]).view(np.complex128).reshape(n, c.n_heads, -1)
             k *= rot_k
             v = (x @ p[pre + "wv"]).reshape(n, c.n_heads, c.d_head)
@@ -412,7 +407,7 @@ class Model:
                 break
             out = h[o0:]  # a view, updated in place
             out += ctx[:, o0:].transpose(1, 0, 2).reshape(n - o0, c.d_model) @ p[pre + "wo"]
-            x = _rms_norm(out, p[pre + "mlp_norm"])
+            x = _rms_norm(out)
             a = x @ p[pre + "w1"]
             t = np.negative(a)  # SiLU in place: a / (1 + exp(-a))
             np.exp(t, out=t)
@@ -536,14 +531,10 @@ def init_model(config: ModelConfig) -> Model:
     def draw(shape, scale):
         return (rng.standard_normal(shape, dtype=np.float32) * scale).astype(np.float64)
 
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(config).items():
-        if name.endswith("norm"):
-            params[name] = np.ones(shape)
-        elif name in ("embed", "head"):
-            params[name] = draw(shape, emb_scale)
-        else:
-            params[name] = draw(shape, proj_scale)
+    params = {
+        name: draw(shape, emb_scale if name in ("embed", "head") else proj_scale)
+        for name, shape in param_shapes(config).items()
+    }
     return Model(config, params)
 
 
@@ -555,9 +546,9 @@ def save_checkpoint(model: Model, path) -> None:
     tensor as raw little-endian float32, in sorted name order.
 
     The header holds the config alone: ``param_shapes(config)`` gives every
-    tensor's shape, so no per-tensor index is written. Each tensor is
-    narrowed to float32 and written just after the one before it, so at
-    most one float32 copy is alive at a time. ``ConfigError`` unless ``model`` is a ``Model``.
+    tensor's shape, none of them a norm gain, so no index is written. Each
+    tensor is narrowed to float32 and written just after the one before it,
+    so at most one float32 copy is alive. ``ConfigError`` unless ``model`` is a ``Model``.
     """
     check_type(model, Model, ConfigError, "model")
     header = json.dumps({"config": asdict(model.config)}, separators=(",", ":"))
@@ -574,12 +565,12 @@ def load_checkpoint(path) -> Model:
 
     The header must be ``{"config": ...}`` and nothing else; the tensors
     follow in sorted name order with the shapes ``param_shapes(config)``
-    gives. Each is read straight into its own float32 array and widened
-    into its float64 weight, so at most one float32 tensor is alive at a
-    time. A file of another version, a malformed header, a data section
-    whose length is not the config's, checked before any weight is
-    allocated, raise ``ConfigError``; so does a tensor holding NaN or inf,
-    which ``Model`` rejects for every model.
+    gives, none of them a norm gain. Each is read straight into its own
+    float32 array and widened into its float64 weight, so at most one
+    float32 tensor is alive at a time. A file of another version, a
+    malformed header, a data section whose length is not the config's,
+    checked before any weight is allocated, raise ``ConfigError``; so does
+    a tensor holding NaN or inf, which ``Model`` rejects for every model.
     """
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
@@ -596,10 +587,10 @@ def load_checkpoint(path) -> Model:
             config = ModelConfig(**header["config"])
         except TypeError as exc:  # a missing, unknown or non-mapping field
             raise ConfigError(f"malformed checkpoint config: {exc}") from exc
-        # the float32 sizes of param_shapes(config) in closed form, so that a
+        # param_shapes(config)'s float32 bytes in closed form, so that a
         # header naming a huge model fails here without per-layer work
         d, v, f = config.d_model, config.vocab_size, config.d_ff
-        expected = 4 * (2 * d * v + d + config.n_layers * (4 * d * d + 2 * d * f + 2 * d))
+        expected = 4 * (2 * d * v + config.n_layers * (4 * d * d + 2 * d * f))
         got = os.fstat(fh.fileno()).st_size - fh.tell()
         if got != expected:
             raise ConfigError(f"data section holds {got} bytes, the config needs {expected}")

@@ -179,10 +179,11 @@ def plan_window(layout: VideoLayout, r: float, anchor: str) -> PruningPlan:
 
 
 def plan_frame_drop(layout: VideoLayout, r: float) -> PruningPlan:
-    """Keep ceil((1-r)*F) whole frames spread evenly over the F frames, then
-    trim trailing tokens of the last kept frame down to the exact budget."""
+    """Keep the ceil(K / frame_size) frames that the budget K fills, spread
+    evenly over the F frames, then trim trailing tokens of the last kept
+    frame down to the exact budget."""
     k_total = retention_budget(layout, r)
-    frames = _spread(int(np.ceil((1.0 - r) * layout.frames)), layout.frames)
+    frames = _spread(-(-k_total // layout.frame_size), layout.frames)
     per_frame = np.arange(layout.frame_size, dtype=np.int64)
     retained = (frames[:, None] * layout.frame_size + per_frame).reshape(-1)[:k_total]
     return PruningPlan(layout, [], retained)

@@ -15,8 +15,9 @@ RMS_EPS = 1e-6  # the model's documented RMSNorm epsilon
 ROPE_THETA = 10000.0  # the model's documented rotary base
 
 
-def _rms(x, weight):
-    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS) * weight
+def _rms(x):
+    """RMSNorm with no gain, as the model documents it."""
+    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
 
 
 def reference_rope(x, positions):
@@ -61,7 +62,7 @@ def _forward(model, seq):
     row_max = np.zeros((c.n_layers, c.n_heads, n))
     for layer in range(c.n_layers):
         pre = f"layers.{layer}."
-        x = _rms(h, p[pre + "attn_norm"])
+        x = _rms(h)
         q = (x @ p[pre + "wq"]).reshape(n, c.n_heads, c.d_head)
         q = reference_rope(q, positions)
         k = (x @ p[pre + "wk"]).reshape(n, c.n_heads, c.d_head)
@@ -74,10 +75,10 @@ def _forward(model, seq):
         probs[layer] = weights / weights.sum(axis=-1, keepdims=True)
         ctx = np.einsum("hij,jhd->ihd", probs[layer], v).reshape(n, c.d_model)
         h = h + ctx @ p[pre + "wo"]
-        x = _rms(h, p[pre + "mlp_norm"])
+        x = _rms(h)
         a = x @ p[pre + "w1"]
         h = h + (a / (1.0 + np.exp(-a))) @ p[pre + "w2"]
-    return _rms(h, p["final_norm"]) @ p["head"], probs, row_max
+    return _rms(h) @ p["head"], probs, row_max
 
 
 def reference_guidance(model, seq):

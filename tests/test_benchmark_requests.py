@@ -1,5 +1,5 @@
-"""The benchmark's own requests, sent once each: a change that breaks a call
-the benchmark makes fails here, not only in a benchmark run.
+"""The benchmark's set-up and its own requests, run once each: a change that
+breaks a call the benchmark makes fails here, not only in a benchmark run.
 
 No request grows a KV cache: prefill leaves ``_CACHE_HEADROOM`` free slots,
 which every later block of a request fits in, so growth never sits on a
@@ -12,6 +12,7 @@ one-item forward is mended (ROADMAP item 0).
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vidspec.errors import VidspecError
@@ -58,6 +59,19 @@ def send(models, name, index):
     request(models, rec, samples, rng, frames, index)
     assert rec.failed == 0, (dict(rec.failures), rec.check_messages, list(rec.tracebacks.values()))
     return samples
+
+
+def test_set_up(models, tmp_path):
+    """Each model is built, saved and loaded back as the benchmark's set-up
+    does it, and the loaded verifier's prefill logits on a ``long_video``
+    prompt equal those of the model built in memory."""
+    rec = recorder.Recorder(False, VidspecError)
+    verifier = workloads.set_up(rec, "", workloads.VERIFIER, tmp_path / "model.ckpt")
+    workloads.set_up(rec, ".draft", workloads.DRAFT, tmp_path / "model.draft.ckpt")
+    assert rec.failed == 0, (dict(rec.failures), list(rec.tracebacks.values()))
+    prompt = inputs.make_prompt(inputs.request_rng(SEED, inputs.MEASURED, 0), inputs.LONG_FRAMES[1])
+    seq = workloads.full_sequence(rec, prompt)[1]
+    assert np.array_equal(verifier.prefill(seq).logits, models.verifier.prefill(seq).logits)
 
 
 @pytest.mark.parametrize("index", range(len(workloads.PRUNER_NAMES)), ids=workloads.PRUNER_NAMES)

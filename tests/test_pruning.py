@@ -230,11 +230,18 @@ class TestBaselinePlanners:
             plan_window(layout, 0.5, "sideways")
 
     def test_frame_drop_even_frames(self):
-        layout = VideoLayout(8, 1, 4)
-        plan = plan_frame_drop(layout, 0.5)
-        frames = sorted(set(int(i) // layout.frame_size for i in plan.retained))
-        assert frames == [0, 2, 4, 6]
-        assert plan.n_retained == 16
+        """The frames kept are the ones the budget fills, spread evenly: at
+        r = 0.7, (1 - r) * 10 frames is 3.0000000000000004 in floating point,
+        but a budget of 12 tokens fills 3 frames of 4, not 4."""
+        cases = [
+            (VideoLayout(8, 1, 4), 0.5, [0, 2, 4, 6], 16),
+            (VideoLayout(10, 2, 2), 0.7, [0, 3, 6], 12),
+        ]
+        for layout, r, expected, budget in cases:
+            plan = plan_frame_drop(layout, r)
+            frames = sorted(set(int(i) // layout.frame_size for i in plan.retained))
+            assert frames == expected
+            assert plan.n_retained == budget
 
     def test_frame_drop_single_frame_trims_spatially(self):
         layout = VideoLayout(1, 2, 4)
