@@ -15,7 +15,9 @@ one bitwise. `forward_block` and `forward_tree` run the core and then the head
 (RMSNorm, then `head`); `prefill` runs the core chunk by chunk and the
 head on the final chunk's last rows alone. The core's tile, softmax and
 last-layer rules are stated once, in `Model._hidden`; prefill's chunk rule
-in `Model.prefill`; the cache sizing rule in `KvCache`.
+in `Model.prefill`; the cache sizing rule in `KvCache`; the float32 staging
+buffer that `init_model`, `save_checkpoint` and `load_checkpoint` pass
+every tensor through in `_staged`.
 
 Rotary encoding rotates each adjacent pair ``(2i, 2i+1)`` of a head's q and k
 dimensions by ``position * theta**(-2i / d_head)`` (RoFormer's pairing): the
@@ -26,6 +28,7 @@ multiply, with ``1/sqrt(d_head)`` folded into q's rotation.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -105,7 +108,9 @@ class KvCache:
     """
 
     def __init__(self, n_layers: int, n_heads: int, d_head: int, capacity: int):
-        check_integer(capacity, 1, ConfigError, "capacity")
+        sizes = {"n_layers": n_layers, "n_heads": n_heads, "d_head": d_head, "capacity": capacity}
+        for name, value in sizes.items():
+            check_integer(value, 1, ConfigError, name)
         self.k = np.empty((n_layers, capacity, n_heads, d_head))
         self.v = np.empty((n_layers, capacity, n_heads, d_head))
         self.pos = np.empty(capacity, dtype=np.int64)
@@ -262,8 +267,17 @@ class Model:
 
     def _block_input(self, cache: KvCache, items, positions) -> tuple[np.ndarray, np.ndarray]:
         """A block's embeddings and int64 positions: at least one item, a 1-D
-        position per item, each below ``MAX_POSITIONS`` and beyond ``cache``'s."""
+        position per item, each below ``MAX_POSITIONS`` and beyond ``cache``'s;
+        ``cache`` must be a ``KvCache`` of the model's layers, heads and head
+        width."""
         check_type(cache, KvCache, PositionError, "cache")
+        c = self.config
+        n_layers, _, n_heads, d_head = cache.k.shape
+        if (n_layers, n_heads, d_head) != (c.n_layers, c.n_heads, c.d_head):
+            raise PositionError(
+                f"cache of {n_layers} layers x {n_heads} heads x {d_head} does not fit a model "
+                f"of {c.n_layers} x {c.n_heads} x {c.d_head}"
+            )
         emb = self.embed_items(items)
         if not emb.shape[0]:
             raise SequenceError("a block holds at least one item")
@@ -523,19 +537,31 @@ def _tree_depths(mask: np.ndarray) -> np.ndarray:
 
 def init_model(config: ModelConfig) -> Model:
     """Deterministic weights: normal draws scaled 0.02 for the embedding/head
-    and 0.02/sqrt(n_layers) for block projections, drawn in a fixed order."""
+    and 0.02/sqrt(n_layers) for block projections, drawn in a fixed order.
+
+    Each tensor is drawn in float32 into a view of one staging buffer (see
+    ``_staged``), scaled there in place and widened into its own float64
+    weight."""
     rng = np.random.default_rng(config.seed)
     proj_scale = np.float32(0.02 / np.sqrt(config.n_layers))
     emb_scale = np.float32(0.02)
-
-    def draw(shape, scale):
-        return (rng.standard_normal(shape, dtype=np.float32) * scale).astype(np.float64)
-
-    params = {
-        name: draw(shape, emb_scale if name in ("embed", "head") else proj_scale)
-        for name, shape in param_shapes(config).items()
-    }
+    shapes = param_shapes(config)
+    params = {}
+    for name, view in _staged(shapes, shapes):
+        rng.standard_normal(dtype=np.float32, out=view)
+        view *= emb_scale if name in ("embed", "head") else proj_scale
+        params[name] = view.astype(np.float64)
     return Model(config, params)
+
+
+def _staged(shapes: dict[str, tuple[int, ...]], names):
+    """``(name, view)`` for each of ``names`` in turn: a float32 view of
+    ``shapes[name]`` at the start of one buffer, allocated once and sized to
+    the largest tensor of ``shapes``. Every view shares that buffer, so each
+    is valid only until the next is yielded."""
+    buf = np.empty(max(map(math.prod, shapes.values())), dtype="<f4")
+    for name in names:
+        yield name, buf[: math.prod(shapes[name])].reshape(shapes[name])
 
 
 # -- checkpoint container ---------------------------------------------------
@@ -547,16 +573,18 @@ def save_checkpoint(model: Model, path) -> None:
 
     The header holds the config alone: ``param_shapes(config)`` gives every
     tensor's shape, none of them a norm gain, so no index is written. Each
-    tensor is narrowed to float32 and written just after the one before it,
-    so at most one float32 copy is alive. ``ConfigError`` unless ``model`` is a ``Model``.
+    tensor is narrowed into a view of one float32 staging buffer (see
+    ``_staged``) and written from there, just after the one before it.
+    ``ConfigError`` unless ``model`` is a ``Model``.
     """
     check_type(model, Model, ConfigError, "model")
     header = json.dumps({"config": asdict(model.config)}, separators=(",", ":"))
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC.encode("ascii") + b"\n")
         fh.write(header.encode("ascii") + b"\n")
-        for name in sorted(model.params):
-            fh.write(model.params[name].astype("<f4"))
+        for name, view in _staged(param_shapes(model.config), sorted(model.params)):
+            np.copyto(view, model.params[name], casting="same_kind")
+            fh.write(view)
 
 
 def load_checkpoint(path) -> Model:
@@ -565,12 +593,12 @@ def load_checkpoint(path) -> Model:
 
     The header must be ``{"config": ...}`` and nothing else; the tensors
     follow in sorted name order with the shapes ``param_shapes(config)``
-    gives, none of them a norm gain. Each is read straight into its own
-    float32 array and widened into its float64 weight, so at most one
-    float32 tensor is alive at a time. A file of another version, a
-    malformed header, a data section whose length is not the config's,
-    checked before any weight is allocated, raise ``ConfigError``; so does
-    a tensor holding NaN or inf, which ``Model`` rejects for every model.
+    gives, none of them a norm gain. Each is read into a view of one
+    float32 staging buffer (see ``_staged``) and widened from there into
+    its own float64 weight. A file of another version, a malformed header,
+    a data section whose length is not the config's, checked before any
+    weight is allocated, raise ``ConfigError``; so does a tensor holding
+    NaN or inf, which ``Model`` rejects for every model.
     """
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
@@ -594,16 +622,12 @@ def load_checkpoint(path) -> Model:
         got = os.fstat(fh.fileno()).st_size - fh.tell()
         if got != expected:
             raise ConfigError(f"data section holds {got} bytes, the config needs {expected}")
-        # Every float64 weight is allocated before any data is read, so the
-        # float32 reads never lie between them. With each weight allocated
-        # after its read, a freed model left holes that later arrays fit
-        # badly, and peak RSS varied with the heap's layout.
-        weights = {name: np.empty(shape) for name, shape in param_shapes(config).items()}
-        raw = fh.raw  # unbuffered from here on: each tensor is read into its own array
+        shapes = param_shapes(config)
+        raw = fh.raw  # unbuffered from here on: each tensor is read into the staging view
         raw.seek(fh.tell())
-        for name in sorted(weights):
-            arr = np.empty(weights[name].shape, dtype="<f4")
-            if raw.readinto(arr) != arr.nbytes:
+        weights = {}
+        for name, view in _staged(shapes, sorted(shapes)):
+            if raw.readinto(view) != view.nbytes:
                 raise ConfigError(f"{name}: tensor data cut short")
-            weights[name][...] = arr
+            weights[name] = view.astype(np.float64)
     return Model(config, weights)

@@ -1,6 +1,7 @@
 """Model core: determinism, cache semantics, incremental/tree equivalence."""
 
 import hashlib
+import itertools
 import json
 import os
 import tracemalloc
@@ -104,6 +105,8 @@ INIT_DIGESTS = {
     "layers.1.wq": "56bac7c7ca5f247960b88d6d2f8f95dba067053176fd71185e81f7aff2a969cc",
     "layers.1.wv": "697cfc3e2cff556a3b9b25b7196defe355bb1dbc42543f5e589c00782e64760c",
 }
+# SHA-256 of the file save_checkpoint(init_model(small_config())) writes.
+CHECKPOINT_DIGEST = "ce29de4a1d8d6b3fd6fff574311d1e7b075588aa51f89760f1cf80661493ad4e"
 
 
 class TestInit:
@@ -534,6 +537,13 @@ NON_INTEGER_INPUT = {
     "model_config_string": (ConfigError, lambda m: Model("x", {})),
     "model_params_none": (ConfigError, lambda m: Model(m.config, None)),
     "save_model_none": (ConfigError, lambda m: save_checkpoint(None, os.devnull)),
+    # a cache that does not fit the model, or is not a cache of any model
+    "block_cache_other_model": (
+        PositionError,
+        lambda m: m.forward_block(KvCache(1, 1, 2, 16), [1, 2], [0, 1]),
+    ),
+    "cache_layers_negative": (ConfigError, lambda m: KvCache(-1, 1, 2, 4)),
+    "cache_layers_string": (ConfigError, lambda m: KvCache("x", 1, 2, 4)),
 }
 
 
@@ -545,9 +555,10 @@ def test_malformed_input_raises_typed_error(name):
     seed is due, ragged or string arrays, a tree mask that is not boolean,
     a forward's input that is not token ids or is empty, a rollback count,
     token ids outside the vocabulary, positions not beyond the cache or not
-    one per tree node, a mismatched parameter set, a malformed sequence and
-    a cache, sequence, config, parameter set or model of the wrong type
-    raise the package's own errors."""
+    one per tree node, a mismatched parameter set, a malformed sequence, a
+    cache, sequence, config, parameter set or model of the wrong type, a
+    cache of another model's shape and a cache with a malformed size raise
+    the package's own errors."""
     error, call = NON_INTEGER_INPUT[name]
     with pytest.raises(error):
         call(init_model(small_config()))
@@ -1045,6 +1056,27 @@ class TestCheckpoint:
         assert loaded.config == model.config
         for name in model.params:
             assert np.array_equal(loaded.params[name], model.params[name]), name
+
+    def test_bytes_pinned_across_versions(self, tmp_path):
+        """The file of ``init_model(small_config())`` hashes to a recorded
+        digest: header, tensor order and float32 narrowing stay as written."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(small_config()), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_DIGEST
+
+    def test_staging_shares_no_memory(self, tmp_path):
+        """Every tensor passes through one staging buffer in init, save and
+        load, yet no two weights of an initialised or a loaded model share
+        memory, and save leaves every weight bitwise as it was."""
+        model = init_model(small_config())
+        before = {name: w.copy() for name, w in model.params.items()}
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        for name, w in before.items():
+            assert np.array_equal(model.params[name], w), name
+        for params in (model.params, load_checkpoint(path).params):
+            for a, b in itertools.combinations(sorted(params), 2):
+                assert not np.shares_memory(params[a], params[b]), (a, b)
 
     def test_header_is_textual(self, tmp_path):
         model = init_model(small_config(n_layers=1))
