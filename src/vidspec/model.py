@@ -13,8 +13,8 @@ share one attention core (`_hidden`), which is why their outputs agree to
 floating-point reduction error and why a rolled-back cache reproduces a fresh
 one bitwise. `forward_block` and `forward_tree` run the core and then the head
 (RMSNorm, then `head`); `prefill` runs the core chunk by chunk and the
-head on the final chunk's last rows alone. The core's tile, softmax and
-last-layer rules are stated once, in `Model._hidden`; prefill's chunk rule
+head on the final chunk's last rows alone. The core's tile, softmax, buffer
+and last-layer rules are stated once, in `Model._hidden`; prefill's chunk rule
 in `Model.prefill`; the cache sizing rule in `KvCache`; the float32 staging
 buffer that `init_model`, `save_checkpoint` and `load_checkpoint` pass
 every tensor through in `_staged`.
@@ -66,10 +66,8 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("n_layers", "n_heads", "d_model", "vocab_size"):
             check_integer(getattr(self, name), 1, ConfigError, name)
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError(
-                f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
-            )
+        if self.d_model % self.n_heads or self.d_head % 2:  # rotary encoding pairs dims
+            raise ConfigError(f"d_model={self.d_model} needs {self.n_heads} heads of even width")
         check_integer(self.seed, 0, ConfigError, "seed")
 
     @property
@@ -105,6 +103,9 @@ class KvCache:
     to a fresh cache. Sizing: a cache holds its items plus
     ``_CACHE_HEADROOM`` free slots, when made (``Model.new_cache``) and when
     grown (``ensure_capacity``).
+
+    ``k`` and ``v`` stay C-contiguous: ``Model._hidden`` writes a block's
+    keys and values into them through ``reshape`` views.
     """
 
     def __init__(self, n_layers: int, n_heads: int, d_head: int, capacity: int):
@@ -344,6 +345,9 @@ class Model:
           ``exp(s - max)``, whose row sums are at least 1. The tile's
           ``(heads, rows, d_head)`` context is divided by ``z`` after
           ``scores @ V``.
+        - Buffers. K and V live only in the cache, projected into the block's
+          slots and K rotated there; ``ctx`` is ``(n, heads, d_head)``, so
+          ``ctx[o0:]`` is the ``(rows, d_model)`` matrix that ``wo`` reads.
         - Last layer. Every layer writes every row's keys and values, which
           come from its input. Past the last layer only rows from
           ``out_from`` (0 or a multiple of ``_ROW_TILE``, so the tiles are a
@@ -377,20 +381,18 @@ class Model:
         rot_k = rope(positions, c.d_head)
         rot_q = rot_k / np.sqrt(c.d_head)  # folds the score scale into q
         p = self.params
-        ctx = np.empty((c.n_heads, n, c.d_head))
+        ctx = np.empty((n, c.n_heads, c.d_head))
         q0 = o0 = 0  # rows from q0 attend; rows from o0 take the layer's output
         for layer in range(c.n_layers):
             if layer == c.n_layers - 1:
                 q0, o0 = min(out_from, first - first % _ROW_TILE), out_from
             pre = f"layers.{layer}."
             x = _rms_norm(h)
-            k = (x @ p[pre + "wk"]).view(np.complex128).reshape(n, c.n_heads, -1)
+            np.matmul(x, p[pre + "wk"], out=cache.k[layer, L0:m].reshape(n, c.d_model))
+            np.matmul(x, p[pre + "wv"], out=cache.v[layer, L0:m].reshape(n, c.d_model))
+            k = cache.k[layer, L0:m].view(np.complex128)
             k *= rot_k
-            v = (x @ p[pre + "wv"]).reshape(n, c.n_heads, c.d_head)
-            cache.k[layer, L0:m] = k.view(np.float64)
-            cache.v[layer, L0:m] = v
-            q = (x[q0:] @ p[pre + "wq"]).view(np.complex128)
-            q = q.reshape(n - q0, c.n_heads, c.d_head // 2)
+            q = (x[q0:] @ p[pre + "wq"]).reshape(n - q0, c.n_heads, c.d_head).view(np.complex128)
             q *= rot_q[q0:]
             q = q.view(np.float64).transpose(1, 0, 2)
             keys = cache.k[layer, :m].transpose(1, 2, 0)
@@ -410,17 +412,18 @@ class Model:
                     if z.min() >= _Z_MIN and z.max() <= _Z_MAX:  # False for a NaN too
                         break
                 if r1 > o0:  # a tile wholly before o0 feeds only the capture
-                    tile_ctx = ctx[:, r0:r1]
+                    tile_ctx = ctx[r0:r1].transpose(1, 0, 2)
                     np.matmul(scores, vals[:, : L0 + r1], out=tile_ctx)
                     tile_ctx /= z
                 lang = max(r0, first)
-                if lang < r1:
-                    probs = scores[:, lang - r0 :, :n_video] / z[:, lang - r0 :]
+                if lang < r1:  # the scores are spent: divided in place
+                    probs = scores[:, lang - r0 :, :n_video]
+                    probs /= z[:, lang - r0 :]
                     capture[L0 + lang - n_video : L0 + r1 - n_video] += probs.sum(axis=0)
             if o0 == n:  # no row of this layer's output is read
                 break
             out = h[o0:]  # a view, updated in place
-            out += ctx[:, o0:].transpose(1, 0, 2).reshape(n - o0, c.d_model) @ p[pre + "wo"]
+            out += ctx[o0:].reshape(n - o0, c.d_model) @ p[pre + "wo"]
             x = _rms_norm(out)
             a = x @ p[pre + "w1"]
             t = np.negative(a)  # SiLU in place: a / (1 + exp(-a))
@@ -502,8 +505,6 @@ class Model:
             raise MaskError(f"tree mask must be boolean, got dtype {tree_mask.dtype}")
         depths = _tree_depths(tree_mask)
         emb, positions = self._block_input(cache, items, positions)
-        if positions.shape[0] != depths.size:
-            raise PositionError("one position per tree node required")
         expected = cache.max_position + 1 + depths
         if not np.array_equal(positions, expected):
             raise PositionError(

@@ -15,7 +15,7 @@ an index set out of range or order raises the caller's typed error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,7 +112,6 @@ class MultimodalSequence:
     video_embeds: np.ndarray  # (n_video, d_model) float
     video_indices: np.ndarray  # (n_video,) int64, strictly increasing
     language_tokens: np.ndarray  # (n_language,) int64
-    _positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_type(self.layout, VideoLayout, SequenceError, "layout")
@@ -129,13 +128,9 @@ class MultimodalSequence:
             raise SequenceError("negative language token id")
         if indices.size + tokens.size == 0:
             raise SequenceError("empty sequence")
-        positions = np.concatenate(
-            [indices, self.layout.total + np.arange(tokens.size, dtype=np.int64)]
-        )
         object.__setattr__(self, "video_embeds", embeds)
         object.__setattr__(self, "video_indices", indices)
         object.__setattr__(self, "language_tokens", tokens)
-        object.__setattr__(self, "_positions", positions)
 
     @classmethod
     def full(
@@ -162,7 +157,8 @@ class MultimodalSequence:
     @property
     def positions(self) -> np.ndarray:
         """Original position index of every item, strictly increasing."""
-        return self._positions
+        language = self.layout.total + np.arange(self.n_language, dtype=np.int64)
+        return np.concatenate([self.video_indices, language])
 
     @property
     def is_pruned(self) -> bool:

@@ -5,8 +5,9 @@ No request grows a KV cache: prefill leaves ``_CACHE_HEADROOM`` free slots,
 which every later block of a request fits in, so growth never sits on a
 benchmark's hot path.
 
-``greedy_decode`` is left out: every one of its decode steps fails until the
-one-item forward is mended (ROADMAP item 0).
+``greedy_decode``'s request is a strict expected failure: every one of its
+decode steps fails until the one-item forward is mended (ROADMAP item 0),
+and the change that mends it drops the marker.
 """
 
 import sys
@@ -86,4 +87,16 @@ def test_tree_verify_request(models, growths):
     samples = send(models, "tree_verify", 0)
     assert len(samples.prompt_s) == 1
     assert len(samples.step_s) == workloads.VERIFY_ROUNDS
+    assert growths == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="every decode_step raises TypeError in the one-item forward (ROADMAP item 0)",
+)
+def test_greedy_decode_request(models, growths):
+    samples = send(models, "greedy_decode", 0)
+    assert len(samples.prompt_s) == 1
+    assert len(samples.step_s) == workloads.DECODE_STEPS
     assert growths == []

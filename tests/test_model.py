@@ -460,6 +460,9 @@ NON_INTEGER_INPUT = {
         lambda m: ModelConfig(n_layers=True, n_heads=1, d_model=True, vocab_size=2, seed=False),
     ),
     "layout_bool": (SequenceError, lambda m: VideoLayout(True, 2, 2)),
+    # rotary encoding pairs a head's dimensions
+    "head_width_odd": (ConfigError, lambda m: ModelConfig(1, 1, 3, 5)),
+    "head_width_odd_two_heads": (ConfigError, lambda m: ModelConfig(1, 2, 6, 5)),
     "tokens_ragged": (SequenceError, lambda m: two_cells(tokens=[[3], [3, 4]])),
     "positions_ragged": (
         PositionError,
@@ -552,13 +555,13 @@ def test_malformed_input_raises_typed_error(name):
     """Non-integer positions, tokens, indices and layout sizes, 1-D video
     embeddings, a missing layout (also in ``MultimodalSequence.full``), a
     seed that is not a non-negative integer, a ``bool`` where a size or
-    seed is due, ragged or string arrays, a tree mask that is not boolean,
-    a forward's input that is not token ids or is empty, a rollback count,
-    token ids outside the vocabulary, positions not beyond the cache or not
-    one per tree node, a mismatched parameter set, a malformed sequence, a
-    cache, sequence, config, parameter set or model of the wrong type, a
-    cache of another model's shape and a cache with a malformed size raise
-    the package's own errors."""
+    seed is due, an odd head width, ragged or string arrays, a tree mask
+    that is not boolean, a forward's input that is not token ids or is
+    empty, a rollback count, token ids outside the vocabulary, positions
+    not beyond the cache or not one per tree node, a mismatched parameter
+    set, a malformed sequence, a cache, sequence, config, parameter set or
+    model of the wrong type, a cache of another model's shape and a cache
+    with a malformed size raise the package's own errors."""
     error, call = NON_INTEGER_INPUT[name]
     with pytest.raises(error):
         call(init_model(small_config()))
