@@ -4,9 +4,10 @@ Architecture (documented because nothing upstream pins it): pre-norm blocks
 whose RMSNorm has no gain (a row divided by its root mean square), rotary
 position encoding applied per item at its *original* position index, SiLU
 feed-forward with a 4x hidden width, untied output head. All arithmetic runs
-in float64; weights are drawn in float32 and widened, so a float32
-checkpoint round-trips bit-exactly. ``Model`` refuses weights of any dtype
-other than float64.
+in float64. Weights are drawn in float32, so a float32 checkpoint
+round-trips bit-exactly: the embedding table, which is only ever gathered by
+rows, stays float32 and ``embed_items`` widens the rows it gathers; every
+matmul weight is widened to float64 once. ``Model`` refuses any other dtype.
 
 Incremental decoding, batched causal continuation and tree-masked forwards all
 share one attention core (`_hidden`), which is why their outputs agree to
@@ -47,6 +48,7 @@ from .sequence import index_array, integer_array
 _RMS_EPS = 1e-6
 _PREFILL_CHUNK = 512
 _ROW_TILE = 64  # block rows per attention tile
+_HEAD_ROWS = 4  # final rows a prefill takes past its last layer (see Model.prefill)
 _CACHE_HEADROOM = 256  # free slots a cache keeps beyond its items (see KvCache)
 _CKPT_MAGIC = "VIDSPEC-CKPT 4"
 _ROPE_THETA = 10000.0
@@ -92,6 +94,12 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[p + "w1"] = (d, f)
         shapes[p + "w2"] = (f, d)
     return shapes
+
+
+def _weight_dtype(name: str) -> type:
+    """The dtype of weight ``name``: float32 for the embedding table, which
+    only row gathers read, and float64 for every matmul weight."""
+    return np.float32 if name == "embed" else np.float64
 
 
 class KvCache:
@@ -210,11 +218,14 @@ class Model:
             raise ConfigError(f"parameter set mismatch: missing={missing} extra={extra}")
         for name, shape in expected.items():
             w = params[name]
-            if not isinstance(w, np.ndarray) or w.dtype != np.float64 or w.shape != shape:
+            dtype = _weight_dtype(name)
+            if not isinstance(w, np.ndarray) or w.dtype != dtype or w.shape != shape:
                 got = f"{w.dtype} {w.shape}" if isinstance(w, np.ndarray) else type(w).__name__
-                raise ConfigError(f"{name}: expected a float64 array of shape {shape}, got {got}")
-            # every weight is a finite float64 array; the sum allocates nothing and is
-            # finite when every entry is, so only an overflowed sum reads the entries
+                want = f"a {dtype.__name__} array of shape {shape}"
+                raise ConfigError(f"{name}: expected {want}, got {got}")
+            # embed is a finite float32 array, every other weight a finite
+            # float64 one; the sum allocates nothing and is finite when every
+            # entry is, so only an overflowed sum reads the entries
             with np.errstate(over="ignore", invalid="ignore"):
                 if not (np.isfinite(w.sum()) or np.isfinite(w).all()):
                     raise ConfigError(f"{name}: tensor holds NaN or inf")
@@ -231,14 +242,14 @@ class Model:
 
     def embed_items(self, items) -> np.ndarray:
         """Token ids (an int or a 1-D integer array) -> their embedding rows,
-        a new (n, d_model) float64 array, which ``_hidden`` may update in
-        place; n may be 0."""
+        gathered from the float32 table and widened into a new (n, d_model)
+        float64 array, which ``_hidden`` may update in place; n may be 0."""
         ids = np.atleast_1d(integer_array(items, SequenceError, "token ids"))
         if ids.ndim != 1:
             raise SequenceError("token id input must be 1-D")
         if ids.size and (ids.min() < 0 or ids.max() >= self.config.vocab_size):
             raise SequenceError("token id outside vocabulary")
-        return self.params["embed"][ids]
+        return self.params["embed"][ids].astype(np.float64)
 
     def embed_sequence(self, seq: MultimodalSequence) -> np.ndarray:
         """``seq``'s video rows (admitted by ``MultimodalSequence``) then its
@@ -350,11 +361,11 @@ class Model:
           ``ctx[o0:]`` is the ``(rows, d_model)`` matrix that ``wo`` reads.
         - Last layer. Every layer writes every row's keys and values, which
           come from its input. Past the last layer only rows from
-          ``out_from`` (0 or a multiple of ``_ROW_TILE``, so the tiles are a
-          whole block's) are read: that layer computes queries and attention
-          only from the tile of ``min(out_from, first language row)``, as the
-          capture reads every layer's language rows, and ``wo`` and the MLP
-          only from ``out_from``.
+          ``out_from`` are read: that layer computes queries and attention
+          only from the tile that holds ``min(out_from, first language
+          row)``, as the capture reads every layer's language rows and the
+          tiles stay a whole block's, and ``wo`` and the MLP only from
+          ``out_from``.
         """
         c = self.config
         n = h.shape[0]
@@ -385,7 +396,7 @@ class Model:
         q0 = o0 = 0  # rows from q0 attend; rows from o0 take the layer's output
         for layer in range(c.n_layers):
             if layer == c.n_layers - 1:
-                q0, o0 = min(out_from, first - first % _ROW_TILE), out_from
+                q0, o0 = min(out_from, first) // _ROW_TILE * _ROW_TILE, out_from
             pre = f"layers.{layer}."
             x = _rms_norm(h)
             np.matmul(x, p[pre + "wk"], out=cache.k[layer, L0:m].reshape(n, c.d_model))
@@ -449,10 +460,10 @@ class Model:
         The cache is made once, sized by ``KvCache``'s rule. The core runs
         over chunks of ``_PREFILL_CHUNK`` items; a final chunk shorter than
         one ``_ROW_TILE`` joins the chunk before it. Only the final item's
-        logits are read: earlier chunks output no rows, and the final chunk's
-        ``out_from`` (see ``_hidden``) is the last tile boundary that leaves
-        at least ``_ROW_TILE`` rows, since BLAS rounds a product of 1 to 3
-        rows differently from the same rows inside a larger product, so the
+        logits are read: earlier chunks output no rows, and the final chunk
+        outputs its last ``_HEAD_ROWS`` rows (``out_from``, see ``_hidden``),
+        not its last row alone, since BLAS rounds a product of 1 to 3 rows
+        differently from the same rows inside a larger product; so the
         logits stay bitwise the last row of a whole-sequence ``forward_block``.
         """
         check_type(seq, MultimodalSequence, SequenceError, "sequence")
@@ -471,7 +482,7 @@ class Model:
                 emb[start:end],
                 positions[start:end],
                 capture=acc,
-                out_from=max(size - _ROW_TILE, 0) // _ROW_TILE * _ROW_TILE if end == n else size,
+                out_from=max(size - _HEAD_ROWS, 0) if end == n else size,
             )
         if acc is not None:
             acc /= self.config.n_layers * self.config.n_heads
@@ -541,8 +552,9 @@ def init_model(config: ModelConfig) -> Model:
     and 0.02/sqrt(n_layers) for block projections, drawn in a fixed order.
 
     Each tensor is drawn in float32 into a view of one staging buffer (see
-    ``_staged``), scaled there in place and widened into its own float64
-    weight."""
+    ``_staged``) and scaled there in place. The embedding table is kept as a
+    float32 copy of the view; every other tensor is widened into its own
+    float64 weight."""
     rng = np.random.default_rng(config.seed)
     proj_scale = np.float32(0.02 / np.sqrt(config.n_layers))
     emb_scale = np.float32(0.02)
@@ -551,7 +563,7 @@ def init_model(config: ModelConfig) -> Model:
     for name, view in _staged(shapes, shapes):
         rng.standard_normal(dtype=np.float32, out=view)
         view *= emb_scale if name in ("embed", "head") else proj_scale
-        params[name] = view.astype(np.float64)
+        params[name] = view.astype(_weight_dtype(name))
     return Model(config, params)
 
 
@@ -574,8 +586,10 @@ def save_checkpoint(model: Model, path) -> None:
 
     The header holds the config alone: ``param_shapes(config)`` gives every
     tensor's shape, none of them a norm gain, so no index is written. Each
-    tensor is narrowed into a view of one float32 staging buffer (see
-    ``_staged``) and written from there, just after the one before it.
+    tensor is copied into a view of one float32 staging buffer (see
+    ``_staged``), which narrows a float64 weight and leaves the float32
+    embedding table as it is, and written from there, just after the one
+    before it.
     ``ConfigError`` unless ``model`` is a ``Model``.
     """
     check_type(model, Model, ConfigError, "model")
@@ -589,13 +603,13 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
-    """Read a checkpoint written by ``save_checkpoint``; float32 data widened
-    to float64.
+    """Read a checkpoint written by ``save_checkpoint``.
 
     The header must be ``{"config": ...}`` and nothing else; the tensors
     follow in sorted name order with the shapes ``param_shapes(config)``
-    gives, none of them a norm gain. Each is read into a view of one
-    float32 staging buffer (see ``_staged``) and widened from there into
+    gives, none of them a norm gain. The embedding table is read straight
+    into its own float32 array; every other tensor is read into a view of
+    one float32 staging buffer (see ``_staged``) and widened from there into
     its own float64 weight. A file of another version, a malformed header,
     a data section whose length is not the config's, checked before any
     weight is allocated, raise ``ConfigError``; so does a tensor holding
@@ -628,7 +642,11 @@ def load_checkpoint(path) -> Model:
         raw.seek(fh.tell())
         weights = {}
         for name, view in _staged(shapes, sorted(shapes)):
-            if raw.readinto(view) != view.nbytes:
+            # a float32 weight is read into its own array; a float64 one is
+            # read into the staging view and widened from there
+            dtype = _weight_dtype(name)
+            w = view if dtype != view.dtype else np.empty_like(view)
+            if raw.readinto(w) != w.nbytes:
                 raise ConfigError(f"{name}: tensor data cut short")
-            weights[name] = view.astype(np.float64)
+            weights[name] = w.astype(dtype, copy=False)
     return Model(config, weights)

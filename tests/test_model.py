@@ -19,7 +19,7 @@ from vidspec.errors import (
 )
 from vidspec.model import (
     _CACHE_HEADROOM,
-    _ROW_TILE,
+    _HEAD_ROWS,
     MAX_POSITIONS,
     KvCache,
     Model,
@@ -88,7 +88,8 @@ def with_leading(w, *values):
     return w
 
 
-# SHA-256 of each little-endian float64 weight of init_model(small_config()).
+# SHA-256 of each weight of init_model(small_config()), widened to
+# little-endian float64 (the embedding table is stored as float32).
 INIT_DIGESTS = {
     "embed": "a5da5ced99683a0b3d68d4c917f08f2fd4a433f36769c84445057e5d9e0e44d8",
     "head": "fd0bc7ff9927e6e29490c6921b01847276a50e0e3ffcc7d385e49f67d1da82d4",
@@ -154,14 +155,60 @@ class TestInit:
         ],
     )
     def test_malformed_weight_rejected(self, bad):
-        """A weight that is not a float64 ndarray, or holds NaN or inf,
-        raises ``ConfigError`` when a ``Model`` is built from it directly,
+        """A matmul weight that is not a float64 ndarray, or holds NaN or
+        inf, raises ``ConfigError`` when a ``Model`` is built from it directly,
         as ``TestCheckpoint::test_non_finite_tensor_rejected`` does through a
         checkpoint."""
         model = init_model(small_config(n_layers=1))
         params = {**model.params, "layers.0.wk": bad(model.params["layers.0.wk"])}
         with pytest.raises(ConfigError):
             Model(model.config, params)
+
+    def test_embedding_table_stays_float32(self, tmp_path):
+        """Init and load keep the embedding table as the float32 values it
+        was drawn as; widened, they hash to the recorded digest."""
+        model = init_model(small_config())
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        for embed in (model.params["embed"], load_checkpoint(path).params["embed"]):
+            assert embed.dtype == np.float32
+            digest = hashlib.sha256(embed.astype("<f8").tobytes()).hexdigest()
+            assert digest == INIT_DIGESTS["embed"]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda w: w.astype(np.float64),
+            lambda w: w.astype(np.float16),
+            lambda w: with_leading(w, np.nan),
+        ],
+        ids=["float64", "float16", "nan"],
+    )
+    def test_malformed_embedding_table_rejected(self, bad):
+        """The embedding table must be a finite float32 array; a float64 one,
+        the dtype of every other weight, is refused too."""
+        model = init_model(small_config(n_layers=1))
+        params = {**model.params, "embed": bad(model.params["embed"])}
+        with pytest.raises(ConfigError):
+            Model(model.config, params)
+
+    def test_embed_items_widens_into_a_new_array(self):
+        """``embed_items`` returns the gathered rows widened to a new float64
+        array, which the forward may update without touching the table."""
+        model = init_model(small_config())
+        ids = np.array([5, 0, 5, 255])
+        rows = model.embed_items(ids)
+        assert rows.dtype == np.float64
+        assert np.array_equal(rows, model.params["embed"][ids])
+        assert not np.shares_memory(rows, model.params["embed"])
+
+    def test_weight_bytes_at_benchmark_width(self):
+        """The float32 embedding table and float64 matmul weights of a
+        benchmark-width model take 4 v d + 8 (v d + L (4 d^2 + 2 d f)) bytes."""
+        c = BENCH_WIDTH
+        v, d, f = c.vocab_size, c.d_model, c.d_ff
+        expected = 4 * v * d + 8 * (v * d + c.n_layers * (4 * d * d + 2 * d * f))
+        assert sum(w.nbytes for w in init_model(c).params.values()) == expected
 
     def test_finite_weight_whose_sum_overflows_accepted(self):
         """The sum test falls back to the entries when the sum overflows."""
@@ -343,17 +390,16 @@ class TestPrefill:
         assert cache.length == len(seq) + 64
 
     @pytest.mark.parametrize("capture", [False, True])
-    def test_last_layer_mlp_runs_on_one_or_two_tiles(self, capture):
-        """A 2014-item prefill sends at most two tiles of rows through the
-        last layer's MLP (the whole sequence before); a ``forward_block``
-        still sends all of its rows. The results are those of the plain
-        weights."""
+    def test_last_layer_mlp_runs_on_the_head_rows(self, capture):
+        """A 2014-item prefill sends exactly its last ``_HEAD_ROWS`` rows
+        through the last layer's MLP; a ``forward_block`` still sends all of
+        its rows. The results are those of the plain weights."""
         layout, n_language = ONE_TO_FOUR_CHUNKS[2014]
         model = init_model(small_config())
         counted, rows = count_last_w1_rows(model)
         seq = random_prompt(model.config, layout, n_language, seed=4)
         out = counted.prefill(seq, capture=capture)
-        assert 0 < sum(rows) <= 2 * _ROW_TILE
+        assert rows == [_HEAD_ROWS]
         plain = model.prefill(seq, capture=capture)
         assert np.array_equal(out.logits, plain.logits)
         if capture:
@@ -1210,24 +1256,28 @@ class TestCheckpoint:
 
     @staticmethod
     def param_bytes(model):
-        """P: the bytes of the float64 params; the checkpoint holds P / 2."""
+        """The bytes the params take in memory."""
         return sum(arr.nbytes for arr in model.params.values())
+
+    @staticmethod
+    def data_bytes(model):
+        """The bytes of a checkpoint's data section: every entry as float32."""
+        return sum(4 * arr.size for arr in model.params.values())
 
     def test_save_streams_tensors(self, tmp_path):
         """Save never holds the data section: its traced peak stays below a
         quarter of the data bytes (the largest float32 tensor here is 7%)."""
         model = init_model(small_config(n_layers=4))
-        data_bytes = self.param_bytes(model) // 2
         _, peak = traced_peak(lambda: save_checkpoint(model, tmp_path / "model.ckpt"))
-        assert peak < data_bytes / 4
+        assert peak < self.data_bytes(model) / 4
 
     def test_load_streams_tensors(self, tmp_path):
-        """Load holds the float64 params and at most a quarter of the data
-        bytes besides, never the whole data section."""
+        """Load holds the params and at most a quarter of the data bytes
+        besides, never the whole data section."""
         model = init_model(small_config(n_layers=4))
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         p = self.param_bytes(model)
         loaded, peak = traced_peak(lambda: load_checkpoint(path))
         assert self.param_bytes(loaded) == p
-        assert peak < p + (p // 2) / 4
+        assert peak < p + self.data_bytes(model) / 4
