@@ -607,12 +607,12 @@ def load_checkpoint(path) -> Model:
 
     The header must be ``{"config": ...}`` and nothing else; the tensors
     follow in sorted name order with the shapes ``param_shapes(config)``
-    gives, none of them a norm gain. The embedding table is read straight
-    into its own float32 array; every other tensor is read into a view of
-    one float32 staging buffer (see ``_staged``) and widened from there into
-    its own float64 weight. A file of another version, a malformed header,
-    a data section whose length is not the config's, checked before any
-    weight is allocated, raise ``ConfigError``; so does a tensor holding
+    gives, none of them a norm gain. Each tensor is read through the
+    buffered file into a view of one float32 staging buffer (see
+    ``_staged``) and copied from there into its own weight, as
+    ``init_model`` copies its draws. A file of another version, a malformed
+    header, a data section whose length is not the config's, checked before
+    any weight is allocated, raise ``ConfigError``; so does a tensor holding
     NaN or inf, which ``Model`` rejects for every model.
     """
     with open(path, "rb") as fh:
@@ -638,15 +638,9 @@ def load_checkpoint(path) -> Model:
         if got != expected:
             raise ConfigError(f"data section holds {got} bytes, the config needs {expected}")
         shapes = param_shapes(config)
-        raw = fh.raw  # unbuffered from here on: each tensor is read into the staging view
-        raw.seek(fh.tell())
         weights = {}
         for name, view in _staged(shapes, sorted(shapes)):
-            # a float32 weight is read into its own array; a float64 one is
-            # read into the staging view and widened from there
-            dtype = _weight_dtype(name)
-            w = view if dtype != view.dtype else np.empty_like(view)
-            if raw.readinto(w) != w.nbytes:
+            if fh.readinto(view) != view.nbytes:
                 raise ConfigError(f"{name}: tensor data cut short")
-            weights[name] = w.astype(dtype, copy=False)
+            weights[name] = view.astype(_weight_dtype(name))
     return Model(config, weights)

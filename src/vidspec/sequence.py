@@ -9,8 +9,9 @@ Outside arrays enter the package through ``as_array`` and the checks built on
 it: ``integer_array`` for token ids and positions, ``float_array`` for video
 rows and scores, and ``index_array`` for every set of kept indices (video
 indices, a plan's V_R and V_U, the slots a rollback keeps, a prefix being
-``range(k)``). A ragged array, a wrong dtype or rank, a NaN or inf float, or
-an index set out of range or order raises the caller's typed error.
+``range(k)``). A ragged array, a wrong dtype or rank, an integer beyond
+int64, a NaN or inf float, or an index set out of range or order raises the
+caller's typed error.
 """
 
 from __future__ import annotations
@@ -33,10 +34,12 @@ def as_array(values, error: type[Exception], what: str) -> np.ndarray:
 
 def integer_array(values, error: type[Exception], what: str) -> np.ndarray:
     """``values`` as an int64 array; ``error`` unless its dtype is integer
-    (an empty array of any dtype passes)."""
+    (an empty array of any dtype passes) and every value fits in int64."""
     arr = as_array(values, error, what)
     if arr.size and not np.issubdtype(arr.dtype, np.integer):
         raise error(f"{what} must be integers, got dtype {arr.dtype}")
+    if arr.dtype == np.uint64 and arr.size and arr.max() >= 2**63:
+        raise error(f"{what} must be below 2**63, got {arr.max()}")
     return arr.astype(np.int64, copy=False)
 
 

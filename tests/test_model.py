@@ -165,8 +165,9 @@ class TestInit:
             Model(model.config, params)
 
     def test_embedding_table_stays_float32(self, tmp_path):
-        """Init and load keep the embedding table as the float32 values it
-        was drawn as; widened, they hash to the recorded digest."""
+        """Init and load each copy the embedding table out of the float32
+        staging view, as they copy every tensor, so it stays the float32
+        values it was drawn as; widened, they hash to the recorded digest."""
         model = init_model(small_config())
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
@@ -610,6 +611,31 @@ def test_malformed_input_raises_typed_error(name):
     with a malformed size raise the package's own errors."""
     error, call = NON_INTEGER_INPUT[name]
     with pytest.raises(error):
+        call(init_model(small_config()))
+
+
+@pytest.mark.parametrize(
+    "error, what, call",
+    [
+        (
+            SequenceError,
+            "language tokens",
+            lambda m: MultimodalSequence.full(
+                VideoLayout(1, 1, 2), np.zeros((2, D)), np.array([2**63 + 5], dtype=np.uint64)
+            ),
+        ),
+        (
+            PositionError,
+            "positions",
+            lambda m: m.forward_block(m.new_cache(), [1], np.array([2**64 - 1], dtype=np.uint64)),
+        ),
+    ],
+    ids=["full_token_id", "block_position"],
+)
+def test_uint64_beyond_int64_rejected(error, what, call):
+    """An unsigned value of 2**63 or more is refused as out of range with
+    the caller's error, not wrapped to a negative int64 and misreported."""
+    with pytest.raises(error, match=rf"^{what} must be below 2\*\*63"):
         call(init_model(small_config()))
 
 
@@ -1114,9 +1140,10 @@ class TestCheckpoint:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_DIGEST
 
     def test_staging_shares_no_memory(self, tmp_path):
-        """Every tensor passes through one staging buffer in init, save and
-        load, yet no two weights of an initialised or a loaded model share
-        memory, and save leaves every weight bitwise as it was."""
+        """Every tensor, the embedding table included, passes through one
+        staging buffer in init, save and load, yet no two weights of an
+        initialised or a loaded model share memory, and save leaves every
+        weight bitwise as it was."""
         model = init_model(small_config())
         before = {name: w.copy() for name, w in model.params.items()}
         path = tmp_path / "model.ckpt"
