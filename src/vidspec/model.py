@@ -268,20 +268,23 @@ class Model:
         """Run a causal block of token ids against the cache in one forward pass.
 
         Every block item sees all live cache slots, every earlier block item
-        and itself. The cache is extended by the block; the caller owns any
-        rollback. The forward is the core ``_hidden`` (which also writes the
-        cache) followed by the head: RMSNorm, then ``head``.
+        and itself. Positions rise strictly from ``cache.max_position``: each
+        is above the one before it, the first above every cached one, else
+        ``PositionError``. The cache is extended by the block; the caller
+        owns any rollback. The forward is the core ``_hidden`` (which also
+        writes the cache) followed by the head: RMSNorm, then ``head``.
 
         Returns (n, vocab) logits, one row per block item.
         """
         emb, positions = self._block_input(cache, items, positions)
+        if np.any(np.diff(positions, prepend=cache.max_position) <= 0):
+            raise PositionError(f"block positions must rise from cache max {cache.max_position}")
         return self._logits(self._hidden(cache, emb, positions))
 
     def _block_input(self, cache: KvCache, items, positions) -> tuple[np.ndarray, np.ndarray]:
         """A block's embeddings and int64 positions: at least one item, a 1-D
-        position per item, each below ``MAX_POSITIONS`` and beyond ``cache``'s;
-        ``cache`` must be a ``KvCache`` of the model's layers, heads and head
-        width."""
+        position per item, each below ``MAX_POSITIONS``; ``cache`` must be a
+        ``KvCache`` of the model's layers, heads and head width."""
         check_type(cache, KvCache, PositionError, "cache")
         c = self.config
         n_layers, _, n_heads, d_head = cache.k.shape
@@ -296,20 +299,8 @@ class Model:
         positions = integer_array(positions, PositionError, "positions")
         if positions.shape != emb.shape[:1]:
             raise PositionError(f"{emb.shape[0]} items need 1-D positions, got {positions.shape}")
-        self._check_positions(cache, positions)
+        _check_positions(positions)
         return emb, positions
-
-    def _check_positions(self, cache: KvCache, positions: np.ndarray) -> None:
-        """``PositionError`` unless every position is in range and beyond ``cache``'s."""
-        if positions.min() < 0 or positions.max() >= MAX_POSITIONS:
-            raise PositionError(
-                f"positions must lie in [0, {MAX_POSITIONS}), got "
-                f"[{positions.min()}, {positions.max()}]"
-            )
-        if positions.min() <= cache.max_position:
-            raise PositionError(
-                f"position {positions.min()} not beyond cache maximum {cache.max_position}"
-            )
 
     def _logits(self, h: np.ndarray) -> np.ndarray:
         """(rows, d_model) final hidden states -> (rows, vocab) logits: the
@@ -470,8 +461,8 @@ class Model:
         n = len(seq)
         emb = self.embed_sequence(seq)
         positions = seq.positions
+        _check_positions(positions)
         cache = self.new_cache(n)
-        self._check_positions(cache, positions)
         acc = np.zeros((seq.n_language, seq.n_video)) if capture else None
         # a final chunk shorter than one tile joins the chunk before it
         starts = list(range(0, max(n - _ROW_TILE, 0) + 1, _PREFILL_CHUNK))
@@ -524,26 +515,29 @@ class Model:
         return self._logits(self._hidden(cache, emb, positions, tree_mask))
 
 
+def _check_positions(positions: np.ndarray) -> None:
+    """``PositionError`` unless every position is below ``MAX_POSITIONS``."""
+    if positions.max() >= MAX_POSITIONS:
+        raise PositionError(f"positions must lie below {MAX_POSITIONS}, got {positions.max()}")
+
+
 def _tree_depths(mask: np.ndarray) -> np.ndarray:
     """Each node's depth in the tree that the boolean ``mask`` encodes.
 
-    ``mask[i, j]`` admits node j to node i. A tree mask is square, admits
-    every node to itself and no later node, and is ancestor-closed: a node's
-    parent is its last admitted column before the diagonal, and the node
-    admits exactly its parent's whole row. A node's depth is then the count
-    of its admitted earlier nodes. Any other mask raises ``MaskError``.
+    ``mask[i, j]`` admits node j to node i. A node's parent is its last
+    admitted column before the diagonal, -1 for none (a root). A tree mask
+    is square and is the ancestor closure of those parents: each row admits
+    its own node plus its parent's whole row, a root's its own node alone.
+    So every node admits itself and no later node. A node's depth is the
+    count of its admitted earlier nodes. Any other mask raises ``MaskError``.
     """
     if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
         raise MaskError(f"tree mask must be square, got shape {mask.shape}")
-    if not np.all(np.diagonal(mask)):
-        raise MaskError("tree mask must admit self-attention")
-    if np.any(np.triu(mask, k=1)):
-        raise MaskError("tree mask admits a descendant (parents must precede children)")
+    n = mask.shape[0]
     below = np.tril(mask, k=-1)
-    parent = np.where(below, np.arange(mask.shape[0]), -1).max(axis=1, initial=-1)
-    # a root (parent -1) admits no earlier node
-    if not np.array_equal(below, mask[parent] & (parent >= 0)[:, None]):
-        raise MaskError("tree mask admits a non-ancestor (rows must be ancestor-closed)")
+    parent = np.where(below, np.arange(n), -1).max(axis=1, initial=-1)
+    if not np.array_equal(mask, np.eye(n, dtype=bool) | (mask[parent] & (parent >= 0)[:, None])):
+        raise MaskError("tree mask is not the ancestor closure of its parents")
     return below.sum(axis=1)
 
 
@@ -585,11 +579,10 @@ def save_checkpoint(model: Model, path) -> None:
     tensor as raw little-endian float32, in sorted name order.
 
     The header holds the config alone: ``param_shapes(config)`` gives every
-    tensor's shape, none of them a norm gain, so no index is written. Each
-    tensor is copied into a view of one float32 staging buffer (see
-    ``_staged``), which narrows a float64 weight and leaves the float32
-    embedding table as it is, and written from there, just after the one
-    before it.
+    tensor's shape, so no index is written. Each tensor is copied into a
+    view of one float32 staging buffer (see ``_staged``), which narrows a
+    float64 weight and leaves the float32 embedding table as it is, and
+    written from there, just after the one before it.
     ``ConfigError`` unless ``model`` is a ``Model``.
     """
     check_type(model, Model, ConfigError, "model")
@@ -607,13 +600,13 @@ def load_checkpoint(path) -> Model:
 
     The header must be ``{"config": ...}`` and nothing else; the tensors
     follow in sorted name order with the shapes ``param_shapes(config)``
-    gives, none of them a norm gain. Each tensor is read through the
-    buffered file into a view of one float32 staging buffer (see
-    ``_staged``) and copied from there into its own weight, as
-    ``init_model`` copies its draws. A file of another version, a malformed
-    header, a data section whose length is not the config's, checked before
-    any weight is allocated, raise ``ConfigError``; so does a tensor holding
-    NaN or inf, which ``Model`` rejects for every model.
+    gives. Each tensor is read through the buffered file into a view of
+    one float32 staging buffer (see ``_staged``) and copied from there into
+    its own weight, as ``init_model`` copies its draws. A file of another
+    version, a malformed header, a data section whose length is not the
+    config's, checked before any weight is allocated, raise ``ConfigError``;
+    so does a tensor holding NaN or inf, which ``Model`` rejects for every
+    model.
     """
     with open(path, "rb") as fh:
         magic = fh.readline().strip()

@@ -1,5 +1,7 @@
 """The benchmark's set-up and its own requests, run once each: a change that
 breaks a call the benchmark makes fails here, not only in a benchmark run.
+The benchmark's input-generator self-test runs here too, and its tree
+templates' masks are read back through the model's tree rule.
 
 No request grows a KV cache: prefill leaves ``_CACHE_HEADROOM`` free slots,
 which every later block of a request fits in, so growth never sits on a
@@ -16,13 +18,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vidspec.errors import VidspecError
-from vidspec.model import KvCache, init_model
+from vidspec.errors import MaskError, VidspecError
+from vidspec.model import KvCache, _tree_depths, init_model
+
+from reference import reference_tree_depths
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import inputs  # noqa: E402
 import recorder  # noqa: E402
+import selftest  # noqa: E402
 import workloads  # noqa: E402
 
 SEED = 1
@@ -100,3 +105,30 @@ def test_greedy_decode_request(models, growths):
     assert len(samples.prompt_s) == 1
     assert len(samples.step_s) == workloads.DECODE_STEPS
     assert growths == []
+
+
+def test_input_generator_selftest():
+    """The benchmark's own input-generator self-test passes."""
+    assert selftest.main() == 0
+
+
+@pytest.mark.parametrize("parents", inputs.TEMPLATES, ids=["CHAIN_5", "BRANCH_15"])
+def test_template_masks_match_tree_rule(parents):
+    """The model reads each template's benchmark mask back to the template's
+    depths, and on every mask one entry away from it agrees with the
+    node-by-node reference on whether it is a tree and, if so, on depths."""
+    mask = inputs.ancestor_mask(parents)
+    assert np.array_equal(_tree_depths(mask), inputs.depths(parents))
+    accepted = 0
+    for i, j in np.ndindex(mask.shape):
+        flipped = mask.copy()
+        flipped[i, j] = not flipped[i, j]
+        try:
+            expected = reference_tree_depths(flipped)
+        except MaskError:
+            with pytest.raises(MaskError):
+                _tree_depths(flipped)
+            continue
+        assert np.array_equal(_tree_depths(flipped), expected), (i, j)
+        accepted += 1
+    assert 0 < accepted < mask.size

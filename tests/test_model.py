@@ -564,6 +564,15 @@ NON_INTEGER_INPUT = {
         PositionError,
         lambda m: m.forward_block(m.prefill(random_prompt(m.config)).cache, [1, 2], [79, 80]),
     ),
+    # a causal block's positions rise strictly, as one-item steps' do
+    "block_positions_repeated": (
+        PositionError,
+        lambda m: m.forward_block(m.new_cache(), [1, 2], [0, 0]),
+    ),
+    "block_positions_falling": (
+        PositionError,
+        lambda m: m.forward_block(m.new_cache(), [1, 2], [1, 0]),
+    ),
     "tree_one_position_per_node": (
         PositionError,
         lambda m: m.forward_tree(m.new_cache(), [1, 2], [0, 1], np.eye(3, dtype=bool)),
@@ -605,7 +614,8 @@ def test_malformed_input_raises_typed_error(name):
     seed is due, an odd head width, ragged or string arrays, a tree mask
     that is not boolean, a forward's input that is not token ids or is
     empty, a rollback count, token ids outside the vocabulary, positions
-    not beyond the cache or not one per tree node, a mismatched parameter
+    not beyond the cache, repeated or falling within a block or not one per
+    tree node, a mismatched parameter
     set, a malformed sequence, a cache, sequence, config, parameter set or
     model of the wrong type, a cache of another model's shape and a cache
     with a malformed size raise the package's own errors."""
@@ -916,10 +926,9 @@ class TestForwardTree:
     )
     def test_depths_match_reference(self, masks):
         """``_tree_depths`` accepts exactly the masks the node-by-node
-        reference accepts, with the same depths. Over the 530 masks with
-        n <= 3, each check on a square mask rejects some mask; the 1,099
-        masks with a full diagonal and nothing above it, n <= 5, test
-        ancestor closure."""
+        reference accepts, with the same depths: all 530 masks with n <= 3,
+        and the 1,099 masks with n <= 5 that admit each node to itself and
+        no later node, which differ only in ancestor closure."""
         accepted = 0
         for mask in masks:
             try:
