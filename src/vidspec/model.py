@@ -4,10 +4,10 @@ Architecture (documented because nothing upstream pins it): pre-norm blocks
 whose RMSNorm has no gain (a row divided by its root mean square), rotary
 position encoding applied per item at its *original* position index, SiLU
 feed-forward with a 4x hidden width, untied output head. All arithmetic runs
-in float64. Weights are drawn in float32, so a float32 checkpoint
-round-trips bit-exactly: the embedding table, which is only ever gathered by
-rows, stays float32 and ``embed_items`` widens the rows it gathers; every
-matmul weight is widened to float64 once. ``Model`` refuses any other dtype.
+in float64. Weights are drawn in float32 as uniforms of fixed variance, so a
+float32 checkpoint round-trips bit-exactly: the embedding table stays float32
+and ``embed_items`` widens the rows it gathers; every matmul weight is
+widened to float64 once. ``Model`` refuses any other dtype.
 
 Incremental decoding, batched causal continuation and tree-masked forwards all
 share one attention core (`_hidden`), which is why their outputs agree to
@@ -542,21 +542,20 @@ def _tree_depths(mask: np.ndarray) -> np.ndarray:
 
 
 def init_model(config: ModelConfig) -> Model:
-    """Deterministic weights: normal draws scaled 0.02 for the embedding/head
-    and 0.02/sqrt(n_layers) for block projections, drawn in a fixed order.
-
-    Each tensor is drawn in float32 into a view of one staging buffer (see
-    ``_staged``) and scaled there in place. The embedding table is kept as a
-    float32 copy of the view; every other tensor is widened into its own
-    float64 weight."""
+    """Deterministic weights, drawn in a fixed order: each tensor uniform on
+    [-sqrt(3)s, sqrt(3)s], of standard deviation s = 0.02 for the embedding/head
+    and 0.02/sqrt(n_layers) for block projections. Each is drawn in float32
+    into a view of one staging buffer (see ``_staged``) as u - 0.5, u uniform
+    on [0, 1), and scaled there in place by sqrt(12)s. The embedding table is a
+    float32 copy of the view; every other tensor is widened to float64."""
     rng = np.random.default_rng(config.seed)
-    proj_scale = np.float32(0.02 / np.sqrt(config.n_layers))
-    emb_scale = np.float32(0.02)
+    emb_width, proj_width = np.float32(math.sqrt(12) * 0.02 / np.sqrt([1, config.n_layers]))
     shapes = param_shapes(config)
     params = {}
     for name, view in _staged(shapes, shapes):
-        rng.standard_normal(dtype=np.float32, out=view)
-        view *= emb_scale if name in ("embed", "head") else proj_scale
+        rng.random(dtype=np.float32, out=view)
+        view -= np.float32(0.5)
+        view *= emb_width if name in ("embed", "head") else proj_width
         params[name] = view.astype(_weight_dtype(name))
     return Model(config, params)
 

@@ -91,23 +91,23 @@ def with_leading(w, *values):
 # SHA-256 of each weight of init_model(small_config()), widened to
 # little-endian float64 (the embedding table is stored as float32).
 INIT_DIGESTS = {
-    "embed": "a5da5ced99683a0b3d68d4c917f08f2fd4a433f36769c84445057e5d9e0e44d8",
-    "head": "fd0bc7ff9927e6e29490c6921b01847276a50e0e3ffcc7d385e49f67d1da82d4",
-    "layers.0.w1": "a664a8b0af89c370c0b0a0161008214453f4d36f7827e4c4afb031d73301741b",
-    "layers.0.w2": "60ac011566b5a5716505fd1d0c68aa10ee00a12c8cf1d47dd3acb64de2c4c3a1",
-    "layers.0.wk": "a441fdf78f1b9f9282a18e7abc8b0ff68ba95d47fe1a909631ef647f98b6fcf4",
-    "layers.0.wo": "73751e1985518f6fada68f2e185c433da09b1d682de6e2ad29ef0f03c849e6e8",
-    "layers.0.wq": "be8d81c43118b899dadc22276e3d9135fee60477d40cc809f373bb9ec7341d97",
-    "layers.0.wv": "97b41805925d6a85a434b26c840bf7195bdd853b314681adc07b766c0c606604",
-    "layers.1.w1": "f4e39c53541a313bae4af18fd242088562650dc9c81bce96be094b24e55a3019",
-    "layers.1.w2": "f892059fefce3f4c5a272d704c18c05125f152a3a2dde5b98fa4afe181ee2dfb",
-    "layers.1.wk": "00aa6215499e91629a153025330c0070bf3fc62eafddc6ae212ea5b5336b3a40",
-    "layers.1.wo": "975efa57079cb452e427d667f7c29f01b8fce9a0c8bd948d0166d4dc8ff82274",
-    "layers.1.wq": "56bac7c7ca5f247960b88d6d2f8f95dba067053176fd71185e81f7aff2a969cc",
-    "layers.1.wv": "697cfc3e2cff556a3b9b25b7196defe355bb1dbc42543f5e589c00782e64760c",
+    "embed": "07ec62917ecbbb3763f21f45e5f0502afe9f3afff8983f3d2302ba36e8c4a833",
+    "head": "81d050b8140a8cf4df98189a81674b79bfed0c02e4dcc25395119b5a7c3d1d4e",
+    "layers.0.w1": "e3038b8c21803d139d6a4c5ec2a9dd8465572de165a82e73d321d98b04631a78",
+    "layers.0.w2": "f99763fac8bf50878c4cc9b02e6fabcdee3e26b55b13c2db9f41176f9425f2e1",
+    "layers.0.wk": "f9725558c4d09f501ec4ea692bd421c23301ced6585e33e9717574f04204b171",
+    "layers.0.wo": "04a232b21e6e494f9d2b1d9832e689b5a0f72e765287dc122744fa03ed17515c",
+    "layers.0.wq": "794a01957315bc37c04237c2a8b64ee906386b6041517247a1136e7012589849",
+    "layers.0.wv": "495e7af025077343515b444666411cb66b3da315b530dd05769ece6075e51798",
+    "layers.1.w1": "98c039d2e05cae99a0c2564cd88d7a3eb445c119bad4f2b16dcfd4c3bfa640c4",
+    "layers.1.w2": "b4189300c4c7efe72b771c822778cb0837d822fc69cd7587eab9d169e1fcc265",
+    "layers.1.wk": "d901f934fb74a0e61d6dabee80116a8f0b791c33220e1bba6e68327ec9148412",
+    "layers.1.wo": "295d2b2238ce855fa284486ca6b8058bfd5f1c891a0db7a1f647ffe5e4211590",
+    "layers.1.wq": "28ee86ff6b911c27fd990e3beefb7e7606da85535d28159c56feb07324749c5a",
+    "layers.1.wv": "774a509c4ed74d1f9caf71f899bf7302136e9146e4da73995f4ecb7287ac96cf",
 }
 # SHA-256 of the file save_checkpoint(init_model(small_config())) writes.
-CHECKPOINT_DIGEST = "ce29de4a1d8d6b3fd6fff574311d1e7b075588aa51f89760f1cf80661493ad4e"
+CHECKPOINT_DIGEST = "884d4a44deea867c75721fe425e510c2346bc19ecfb17ee089f0751ca55dd97f"
 
 
 class TestInit:
@@ -127,6 +127,20 @@ class TestInit:
             for name, w in model.params.items()
         }
         assert digests == INIT_DIGESTS
+
+    def test_draws_uniform_of_fixed_variance(self):
+        """Each weight is drawn uniform on [-sqrt(3)s, sqrt(3)s], whose standard
+        deviation is s: 0.02 for the embedding/head and 0.02/sqrt(n_layers)
+        for block projections. A normal draw of the same s puts about 8% of
+        its entries beyond sqrt(3)s."""
+        config = small_config()
+        for name, w in init_model(config).params.items():
+            s = 0.02 if name in ("embed", "head") else 0.02 / np.sqrt(config.n_layers)
+            w = w.astype(np.float64)
+            # the float32 scale sqrt(12)s may round up by half an ulp
+            assert np.abs(w).max() <= np.sqrt(3) * s * (1 + 2.0**-23), name
+            assert abs(w.std() / s - 1) <= 0.05, name
+            assert abs(w.mean()) <= 4 * w.std() / np.sqrt(w.size), name
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ConfigError):
