@@ -48,6 +48,7 @@ from .sequence import index_array, integer_array
 _RMS_EPS = 1e-6
 _PREFILL_CHUNK = 512
 _ROW_TILE = 64  # block rows per attention tile
+_CAUSAL_TILE = np.triu(np.ones((_ROW_TILE, _ROW_TILE), dtype=bool), k=1)  # see Model._hidden
 _HEAD_ROWS = 4  # final rows a prefill takes past its last layer (see Model.prefill)
 _CACHE_HEADROOM = 256  # free slots a cache keeps beyond its items (see KvCache)
 _CKPT_MAGIC = "VIDSPEC-CKPT 4"
@@ -321,8 +322,6 @@ class Model:
 
         ``h`` holds the block's (n, d_model) embeddings, is owned by the
         caller and is updated in place; the returned rows are a view of it.
-        The block is causal unless ``forward_tree`` passes its checked
-        ``tree_mask``.
 
         ``capture`` is prefill's ``(n_language, n_video)`` guidance
         accumulator: for every block item at cache slot ``>= n_video`` (a
@@ -336,10 +335,10 @@ class Model:
         - Tiles. Neither a causal block nor a tree mask admits a later block
           item, so tile ``[r0, r1)`` scores only the ``L0 + r1`` columns its
           rows can see (``L0`` slots were live before the block), and no
-          ``(heads, n, L0 + n)`` score array is allocated. A causal tile
-          masks only its diagonal square, columns ``L0 + r0`` to
-          ``L0 + r1``; a tree tile masks all of its block columns, since a
-          tree row may not see an earlier block item.
+          ``(heads, n, L0 + n)`` score array is allocated. A causal tile of
+          k rows masks its diagonal square with the ``[:k, :k]`` corner of
+          the one ``_CAUSAL_TILE``; only a tree block passes its own mask,
+          ``forward_tree``'s checked ``tree_mask``, on all its block columns.
         - Softmax. The tile's scores become ``exp(s)`` in place, with no
           row-maximum shift; if a row sum ``z`` then lies outside
           ``[_Z_MIN, _Z_MAX]`` (an overflow, a row that underflowed, or a
@@ -359,8 +358,7 @@ class Model:
           ``out_from``.
         """
         c = self.config
-        n = h.shape[0]
-        L0 = cache.length
+        n, L0 = h.shape[0], cache.length
         m = L0 + n
         cache.ensure_capacity(m)
 
@@ -371,7 +369,7 @@ class Model:
             # (ROADMAP item 0 keeps this until decode is gated per token).
             blocked = None
         elif causal:
-            blocked = np.triu(np.ones((n, n), dtype=bool), k=1)
+            blocked = _CAUSAL_TILE
         else:
             blocked = ~tree_mask
 
@@ -405,7 +403,8 @@ class Model:
                 for shift in (False, True):
                     # columns past L0 + r1 are hidden from every row of the tile
                     scores = np.matmul(q[:, r0 - q0 : r1 - q0], keys[:, :, : L0 + r1])
-                    np.copyto(scores[:, :, L0 + c0 :], -np.inf, where=blocked[None, r0:r1, c0:r1])
+                    tile_mask = blocked[None, r0 - c0 : r1 - c0, : r1 - c0]
+                    np.copyto(scores[:, :, L0 + c0 :], -np.inf, where=tile_mask)
                     if shift:  # then z >= 1: the row maximum gives exp(0)
                         scores -= scores.max(axis=-1, keepdims=True)
                     with np.errstate(over="ignore", invalid="ignore"):
@@ -458,6 +457,7 @@ class Model:
         logits stay bitwise the last row of a whole-sequence ``forward_block``.
         """
         check_type(seq, MultimodalSequence, SequenceError, "sequence")
+        check_type(capture, bool, ConfigError, "capture")
         n = len(seq)
         emb = self.embed_sequence(seq)
         positions = seq.positions

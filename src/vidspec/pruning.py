@@ -65,6 +65,7 @@ class PruningPlan:
 
     def __post_init__(self):
         check_type(self.layout, VideoLayout, PlanError, "layout")
+        check_type(self.stage1_truncated, bool, PlanError, "stage1_truncated")
         v_r = index_array(self.v_r, self.layout.total, PlanError, "v_r")
         v_u = index_array(self.v_u, self.layout.total, PlanError, "v_u")
         if np.intersect1d(v_r, v_u).size:

@@ -601,6 +601,10 @@ NON_INTEGER_INPUT = {
     ),
     # arguments of the wrong type
     "prefill_none": (SequenceError, lambda m: m.prefill(None)),
+    "prefill_capture_string": (
+        ConfigError,
+        lambda m: m.prefill(random_prompt(m.config), capture="no"),
+    ),
     "block_cache_none": (PositionError, lambda m: m.forward_block(None, [1, 2], [0, 1])),
     "tree_cache_none": (
         PositionError,
@@ -631,8 +635,9 @@ def test_malformed_input_raises_typed_error(name):
     not beyond the cache, repeated or falling within a block or not one per
     tree node, a mismatched parameter
     set, a malformed sequence, a cache, sequence, config, parameter set or
-    model of the wrong type, a cache of another model's shape and a cache
-    with a malformed size raise the package's own errors."""
+    model of the wrong type, a prefill ``capture`` that is not a ``bool``,
+    a cache of another model's shape and a cache with a malformed size
+    raise the package's own errors."""
     error, call = NON_INTEGER_INPUT[name]
     with pytest.raises(error):
         call(init_model(small_config()))
@@ -714,6 +719,16 @@ class TestTiledAttention:
     def test_capture_prefill_peak_below_one_score_array(self):
         """Nor does it with the guidance capture on."""
         assert self.prefill_peak(capture=True) < 8 * 512 * 512 * 8
+
+    def test_causal_block_allocates_no_square_mask(self):
+        """A 4000-item causal block from an empty cache never holds an
+        (n, n) array: its traced peak stays below 4000**2 bytes, the size of
+        one boolean mask over the block."""
+        model = init_model(small_config(n_layers=1, n_heads=1, d_model=8, vocab_size=16))
+        n = 4000
+        tokens = np.arange(n) % model.config.vocab_size
+        _, peak = traced_peak(lambda: model.forward_block(model.new_cache(), tokens, np.arange(n)))
+        assert peak < n**2
 
 
 def scaled_qk(model, scale):

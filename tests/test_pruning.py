@@ -325,6 +325,7 @@ MALFORMED_INPUT = {
     "budget_layout_negative_count": lambda layout: retention_budget(-5, 0.5),
     "budget_layout_string": lambda layout: retention_budget("a", 0.5),
     "plan_sets_overlap": lambda layout: PruningPlan(layout, [0], [0]),
+    "plan_truncated_string": lambda layout: PruningPlan(layout, [], [], stage1_truncated="x"),
     "attention_top_k_negative": lambda layout: plan_attention_top_k([-1, 1, 1, 1], layout, 0.5),
     "two_stage_score_count": lambda layout: plan_two_stage([1, 1, 1], layout, 0.5, 0.5),
     "temporal_row_count": lambda layout: plan_temporal_similarity(np.ones((3, 3)), layout, 0.5),
@@ -342,9 +343,10 @@ def test_non_finite_input_rejected(name):
     integer (a ``bool`` included), a ratio or lambda_r that is not a number
     or is a ``bool``, a guided set that is not integers or is ragged, a
     layout that is not a ``VideoLayout`` (a raw count included), a plan that
-    is not a ``PruningPlan``, overlapping guided and uniform sets, negative
-    scores, a score or embedding count that is not the layout's, and a plan
-    of another layout raise ``PlanError``."""
+    is not a ``PruningPlan``, overlapping guided and uniform sets, a
+    ``stage1_truncated`` flag that is not a ``bool``, negative scores, a
+    score or embedding count that is not the layout's, and a plan of
+    another layout raise ``PlanError``."""
     with pytest.raises(PlanError):
         MALFORMED_INPUT[name](VideoLayout(2, 1, 2))
 
